@@ -10,7 +10,7 @@ class InvalidSpec(QtgradError, ValueError):
 
 
 class InvalidInput(QtgradError, ValueError):
-    """Input data handed to an aggregation step is unusable."""
+    """Input data handed to a solver or an aggregation step is unusable."""
 
 
 class ZeroDenominator(QtgradError, ZeroDivisionError):

@@ -2,10 +2,11 @@
 
 Three entry points:
 
-* :func:`solve_bb`: steepest descent once, then plain BB1.
 * :func:`solve_new`: the adaptive method mixing long BB1 steps with short
   steps built from the three-dimensional quadratic-termination stepsize
   (or the two-dimensional BBQ stepsize when ``use_new_step`` is off).
+* :func:`solve_bb`: the same loop with tau held at 0, so steepest descent
+  once, then plain BB1.
 * :func:`verify_3d_termination`: the fixed 8-step schedule on the 3-d
   verification problem that demonstrates finite termination numerically.
 
@@ -22,16 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, quadprob
-from .errors import Degenerate, NonPositiveCurvature, ZeroDenominator
+from .errors import Degenerate, InvalidInput, NonPositiveCurvature, ZeroDenominator
 from .report import (
     STATUS_DEGENERATE,
     STATUS_MAXITER,
+    STATUS_NONFINITE,
     STATUS_OK,
     RunReport,
     TraceRecord,
 )
 from .stepsizes import StepPair, bb1, bb2, bbq_stepsize, day_stepsize, sd_stepsize
-from .termination3d import GradientHistory, alpha_new_bb, alpha_new_direct, gram_schmidt3
+from .termination3d import GradientHistory, alpha_new_direct, gram_schmidt3, next_stepsize
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class _QuadRun:
     """Shared stepping state: buffers, history, counters, trace."""
 
     def __init__(self, p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
-                 method: str):
+                 method: str, tau: float):
         self.p = p
         self.cfg = cfg
         self.v = p.spectrum
@@ -72,7 +74,9 @@ class _QuadRun:
         self.gscale = p.grad_scale
         self.x = np.array(x0, dtype=float)
         if self.x.shape != self.v.shape:
-            raise ValueError("x0 has the wrong dimension")
+            raise InvalidInput("x0 has the wrong dimension")
+        if not np.all(np.isfinite(self.x)):
+            raise InvalidInput("x0 has entries that are not finite")
         self.g = np.empty_like(self.x)
         self.g_next = np.empty_like(self.x)
         self.gg = kernels.quad_gradient(self.v, self.xs, self.x, self.gscale, self.g)
@@ -81,7 +85,7 @@ class _QuadRun:
         if self.gg > 0.0:
             self.hist.push(self.gg)
         self.k = 1
-        self.tau = cfg.tau1
+        self.tau = tau
         self.report = RunReport(method=method, ngrad=1)
         self.t0 = time.perf_counter()
 
@@ -130,11 +134,12 @@ class _QuadRun:
         return rep
 
 
-def solve_bb(p: quadprob.QuadraticProblem, x0,
-             cfg: QuadSolverConfig | None = None) -> RunReport:
-    """Plain BB method: one exact SD step, then BB1 throughout."""
-    cfg = cfg or QuadSolverConfig()
-    run = _QuadRun(p, x0, cfg, "bb")
+def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
+           method: str, tau: float) -> RunReport:
+    """One exact SD step, then the adaptive rule from threshold tau."""
+    run = _QuadRun(p, x0, cfg, method, tau)
+    if not math.isfinite(run.gg):
+        return run.finish(STATUS_NONFINITE, "starting gradient is not finite")
     if run.converged():
         return run.finish(STATUS_OK)
     alpha, branch = run.sd_start(), "sd"
@@ -144,67 +149,39 @@ def solve_bb(p: quadprob.QuadraticProblem, x0,
             return run.finish(STATUS_OK)
         if run.report.iterations >= cfg.max_iter:
             return run.finish(STATUS_MAXITER, "iteration budget exhausted")
-        cur = run.hist.rec(-1)
-        if math.isfinite(cur.bb1) and cur.bb1 > 0.0:
-            alpha, branch = cur.bb1, "bb1"
-        else:
+        nxt, branch, run.tau = next_stepsize(
+            run.hist, run.k, run.tau, cfg.gamma, cfg.use_new_step,
+            cfg.tol_den, cfg.tol_dep)
+        if nxt is None:
             branch = "fallback"
+        else:
+            alpha = nxt
+
+
+def solve_bb(p: quadprob.QuadraticProblem, x0,
+             cfg: QuadSolverConfig | None = None) -> RunReport:
+    """Plain BB method: one exact SD step, then BB1 throughout.
+
+    The adaptive loop with tau fixed at 0, so the short branch never runs.
+    """
+    return _solve(p, x0, cfg or QuadSolverConfig(), "bb", 0.0)
 
 
 def solve_new(p: quadprob.QuadraticProblem, x0,
               cfg: QuadSolverConfig | None = None) -> RunReport:
     """Adaptive method: long BB1 steps, short quadratic-termination steps.
 
-    Warm-up is one SD step and three BB1 steps.  From the fifth iterate
-    on, whenever bb2/bb1 falls under the adaptive threshold tau the
-    stepsize is the min of the last two BB2 values and the
-    three-dimensional stepsize; failing that the BBQ stepsize; failing
-    that the BB2 min alone.  tau shrinks by gamma after every short
-    branch and grows by gamma otherwise.
+    One exact SD step, then the rule of
+    :func:`qtgrad.termination3d.next_stepsize`: three BB1 warm-up steps;
+    from the fifth iterate on, whenever bb2/bb1 falls under the adaptive
+    threshold tau, the min of the last two BB2 values and the
+    three-dimensional stepsize (BBQ with ``use_new_step`` off), or the
+    BB2 min alone when that step degenerates.  tau shrinks by gamma after
+    every short branch and grows by gamma after every long one.  Without
+    curvature the last stepsize is repeated ("fallback").
     """
     cfg = cfg or QuadSolverConfig()
-    run = _QuadRun(p, x0, cfg, "new" if cfg.use_new_step else "bbq")
-    if run.converged():
-        return run.finish(STATUS_OK)
-    alpha, branch = run.sd_start(), "sd"
-    while True:
-        run.step(alpha, branch)
-        if run.converged():
-            return run.finish(STATUS_OK)
-        if run.report.iterations >= cfg.max_iter:
-            return run.finish(STATUS_MAXITER, "iteration budget exhausted")
-        cur = run.hist.rec(-1)
-        cur_bb1, cur_bb2 = cur.bb1, cur.bb2
-        if not (math.isfinite(cur_bb1) and cur_bb1 > 0.0):
-            branch = "fallback"
-            continue
-        if run.k < 5:
-            alpha, branch = cur_bb1, "bb1"
-            continue
-        if math.isfinite(cur_bb2) and cur_bb2 / cur_bb1 < run.tau:
-            prev = run.hist.rec(-2)
-            cands = [cur_bb2]
-            if math.isfinite(prev.bb2) and prev.bb2 > 0.0:
-                cands.append(prev.bb2)
-            branch = "short_bb2"
-            if cfg.use_new_step:
-                try:
-                    cands.append(alpha_new_bb(run.hist, cfg.tol_dep))
-                    branch = "short_new"
-                except Degenerate:
-                    pass
-            if branch != "short_new":
-                try:
-                    cands.append(bbq_stepsize(
-                        prev.bb1, cur_bb1, prev.bb2, cur_bb2, cfg.tol_den))
-                    branch = "short_bbq"
-                except Degenerate:
-                    pass
-            alpha = min(cands)
-            run.tau /= cfg.gamma
-        else:
-            alpha, branch = cur_bb1, "bb1"
-            run.tau *= cfg.gamma
+    return _solve(p, x0, cfg, "new" if cfg.use_new_step else "bbq", cfg.tau1)
 
 
 _VERIFY_METHODS = ("day3d", "bb13d", "bb23d", "bb1")

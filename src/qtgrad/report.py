@@ -10,6 +10,7 @@ STATUS_MAXITER = "maxiter"
 STATUS_FEVAL_BUDGET = "feval_budget"
 STATUS_LINESEARCH = "linesearch_failure"
 STATUS_DEGENERATE = "degenerate"
+STATUS_NONFINITE = "nonfinite"
 
 
 @dataclass(frozen=True)

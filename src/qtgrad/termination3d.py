@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import stepsizes
 from .errors import Degenerate, LinearDependence, NumericalFailure
 
 _SYM_RTOL = 1e-12
@@ -50,11 +51,11 @@ class HMatrix:
         a = np.asarray(self.entries, dtype=float)
         if a.shape not in ((3, 3), (4, 4)):
             raise ValueError(f"expected 3x3 or 4x4, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("entries are not finite")
         scale = float(np.abs(a).max())
         if not np.allclose(a, a.T, rtol=_SYM_RTOL, atol=_SYM_RTOL * max(scale, 1.0)):
             raise ValueError("entries are not symmetric")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries are not finite")
         sq = a @ a
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "trace", float(np.trace(a)))
@@ -114,14 +115,11 @@ class HistoryRecord:
 class GradientHistory:
     """Rolling window of the last four iterates' scalars.
 
-    The newest record is ``rec(-1)``.  ``gradient`` optionally holds the
-    current gradient vector for callers that need it (the solvers do not,
-    the verification driver does).
+    The newest record is ``rec(-1)``.
     """
 
     def __init__(self):
         self._recs: deque[HistoryRecord] = deque(maxlen=4)
-        self.gradient: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._recs)
@@ -130,13 +128,12 @@ class GradientHistory:
     def full(self) -> bool:
         return len(self._recs) == 4
 
-    def push(self, gnorm_sq: float, bb1: float = math.nan, bb2: float = math.nan,
-             gradient: np.ndarray | None = None) -> HistoryRecord:
+    def push(self, gnorm_sq: float, bb1: float = math.nan,
+             bb2: float = math.nan) -> HistoryRecord:
         if not gnorm_sq > 0.0:
             raise ValueError(f"gnorm_sq = {gnorm_sq} must be positive")
         rec = HistoryRecord(float(gnorm_sq), math.nan, float(bb1), float(bb2))
         self._recs.append(rec)
-        self.gradient = gradient
         return rec
 
     def set_stepsize(self, stepsize: float) -> None:
@@ -376,3 +373,39 @@ def alpha_new_bb(hist: GradientHistory, tol_dep: float = 1e-10) -> float:
     if not (math.isfinite(root) and root > 0.0):
         raise Degenerate(f"largest root = {root}")
     return 1.0 / root
+
+
+def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,
+                  use_new_step: bool, tol_den: float, tol_dep: float):
+    """The adaptive long/short stepsize rule shared by both solvers.
+
+    ``k`` is the index of the iterate just reached, whose pair is
+    ``hist.rec(-1)``.  Returns ``(alpha, branch, tau')``: BB1 below k = 5;
+    BB1 with tau grown by gamma when bb2/bb1 >= tau (always, at tau = 0);
+    else a short step with tau shrunk by gamma.  The short step is
+    min(BB2_k, BB2_{k-1}) and the highest-order termination step the
+    fresh pairs (positive curvature) support: the 3-d step with three and
+    ``use_new_step`` set ("short_new"), else BBQ ("short_bbq"); the BB2
+    min alone when that step is Degenerate ("short_bb2"); the bare BB2_k
+    with one fresh pair ("short_bb2only").  alpha is None, and tau kept,
+    when the newest pair has no positive curvature; the caller restarts.
+    """
+    cur = hist.rec(-1)
+    if not (math.isfinite(cur.bb1) and cur.bb1 > 0.0):
+        return None, "nocurv", tau
+    if k < 5:
+        return cur.bb1, "bb1", tau
+    if not cur.bb2 / cur.bb1 < tau:
+        return cur.bb1, "bb1", tau * gamma
+    tau /= gamma
+    prev = hist.rec(-2)
+    if not math.isfinite(prev.bb1):
+        return cur.bb2, "short_bb2only", tau
+    bb2_min = min(prev.bb2, cur.bb2)
+    try:
+        if use_new_step and math.isfinite(hist.rec(-3).bb1):
+            return min(bb2_min, alpha_new_bb(hist, tol_dep)), "short_new", tau
+        return min(bb2_min, stepsizes.bbq_stepsize(
+            prev.bb1, cur.bb1, prev.bb2, cur.bb2, tol_den)), "short_bbq", tau
+    except Degenerate:
+        return bb2_min, "short_bb2", tau

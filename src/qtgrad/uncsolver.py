@@ -1,9 +1,10 @@
 """Globalized gradient method for general unconstrained minimization.
 
 The solver takes plain negative-gradient steps whose lengths come from
-the same adaptive long/short stepsize logic as the quadratic method,
-globalized by the Dai-Fletcher nonmonotone line search with the
-reference-value bookkeeping of :func:`update_reference`.  No Hessian
+the same adaptive long/short stepsize rule as the quadratic method
+(:func:`qtgrad.termination3d.next_stepsize`), globalized by the
+Dai-Fletcher nonmonotone line search with the reference-value
+bookkeeping of :func:`update_reference`.  No Hessian
 access anywhere: the short steps reuse the recurrence route through
 recent stepsizes and gradient norms, which is exact on quadratics and a
 serviceable model elsewhere.
@@ -18,21 +19,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    Degenerate,
-    LineSearchFailure,
-    NonDescentDirection,
-)
+from .errors import InvalidInput, LineSearchFailure, NonDescentDirection
 from .report import (
     STATUS_FEVAL_BUDGET,
     STATUS_LINESEARCH,
     STATUS_MAXITER,
+    STATUS_NONFINITE,
     STATUS_OK,
     RunReport,
     TraceRecord,
 )
-from .stepsizes import bbq_stepsize
-from .termination3d import GradientHistory, alpha_new_bb
+from .termination3d import GradientHistory, next_stepsize
 
 
 @dataclass(frozen=True)
@@ -149,20 +146,25 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     """Run the adaptive gradient method on a general objective.
 
     Per iteration: search along -g from the trial stepsize, move, then
-    pick the next trial.  With fresh curvature s'y > 0 the choice mirrors
-    the quadratic method, ratio test against tau, short steps from the
-    three-point recurrence when the last three pairs all have positive
-    curvature, the BBQ step when only two do, bare BB2 otherwise, with
-    tau shrunk or grown by gamma.  Without curvature the trial resets to
-    min(1, ||x||_inf) / ||g||_inf.  Every trial is clamped into
-    [alpha_min, alpha_max].  Stops at ||g||_inf <= eps_inf or on budget
-    exhaustion; a failed line search aborts with its diagnostic.
+    pick the next trial by the rule the quadratic method uses
+    (:func:`qtgrad.termination3d.next_stepsize`): ratio test against tau,
+    short steps from the three-point recurrence when the last three pairs
+    all have positive curvature, the BBQ step when only two do, bare BB2
+    otherwise, with tau shrunk or grown by gamma.  When the newest pair
+    has s'y <= 0 the trial resets to min(1, ||x||_inf) / ||g||_inf.  Every
+    trial is clamped into [alpha_min, alpha_max].  Stops at
+    ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
+    aborts with its diagnostic.  A starting point that is not finite
+    raises InvalidInput; a starting value or gradient that is not finite
+    ends the run at once with status "nonfinite".
     """
     cfg = cfg or UncSolverConfig()
     method = "alg1" if cfg.use_new_step else "alg1-bbq"
     rep = RunReport(method=method)
     t0 = time.perf_counter()
     x = np.array(f.x0 if x0 is None else x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput("x0 has entries that are not finite")
     g = np.asarray(f.gradient(x), dtype=float)
     fval = float(f.value(x))
     rep.ngrad = 1
@@ -182,6 +184,8 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         rep.wall_time = time.perf_counter() - t0
         return rep
 
+    if not (math.isfinite(fval) and math.isfinite(gg)):
+        return finish(STATUS_NONFINITE, "starting value or gradient is not finite")
     if ginf <= cfg.eps_inf:
         return finish(STATUS_OK)
     xinf = _norm_inf(x)
@@ -233,41 +237,9 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         if rep.nfe >= cfg.max_fevals:
             return finish(STATUS_FEVAL_BUDGET, "function evaluation budget exhausted")
 
-        k = rep.iterations + 1   # index of the iterate just reached
-        if sy > 0.0:
-            if k <= 4:
-                # warm-up, long steps only
-                alpha, branch = new_bb1, "bb1"
-            elif new_bb2 / new_bb1 < tau:
-                prev = hist.rec(-2)
-                older = hist.rec(-3)
-                prev_ok = math.isfinite(prev.bb1)
-                older_ok = math.isfinite(older.bb1)
-                if prev_ok:
-                    cands = [prev.bb2, new_bb2]
-                    branch = "short_bb2"
-                    if older_ok and cfg.use_new_step:
-                        try:
-                            cands.append(alpha_new_bb(hist, cfg.tol_dep))
-                            branch = "short_new"
-                        except Degenerate:
-                            pass
-                    else:
-                        try:
-                            cands.append(bbq_stepsize(
-                                prev.bb1, new_bb1, prev.bb2, new_bb2,
-                                cfg.tol_den))
-                            branch = "short_bbq"
-                        except Degenerate:
-                            pass
-                    alpha = min(cands)
-                else:
-                    alpha, branch = new_bb2, "short_bb2only"
-                tau /= cfg.gamma
-            else:
-                alpha, branch = new_bb1, "bb1"
-                tau *= cfg.gamma
-        else:
+        alpha, branch, tau = next_stepsize(
+            hist, rep.iterations + 1, tau, cfg.gamma, cfg.use_new_step,
+            cfg.tol_den, cfg.tol_dep)
+        if alpha is None:
             alpha = min(1.0 / ginf, _norm_inf(x) / ginf)
-            branch = "nocurv"
         alpha = min(max(alpha, cfg.alpha_min), cfg.alpha_max)

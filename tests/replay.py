@@ -2,19 +2,20 @@
 
 Rebuilds a solver's decision sequence from a finished trace: every
 record is pushed into a fresh GradientHistory, the ratio test and the
-candidate collection are re-run, and the result says which branch and
+candidate choice are re-run, and the result says which branch and
 stepsize each iteration should have chosen and where tau should sit.
 The stepsize kernels themselves (alpha_new_bb, bbq_stepsize) are reused
 here because they have their own tests against independent oracles; what
 replay pins down is the wiring around them.
 
-Two rules exist.  "quad" is solve_new: warm-up below k=5, candidate set
-built from the current BB2 plus the previous one when usable, BBQ as the
-fallback whenever the three-point step degenerates.  "unc" is the
-globalized solver: same warm-up, but the short branch needs the previous
-pair to be fresh, degenerating three-point steps fall back to the plain
-BB2 minimum rather than BBQ, a missing previous pair gives the bare BB2
-step, and every stepsize is clamped.  Uncsolver traces store the
+One rule serves both solvers: warm-up below k=5; a short step when
+bb2/bb1 < tau, taking min(BB2_k, BB2_{k-1}) together with the
+three-point step when the last three pairs are fresh and the new step is
+on, or with the BBQ step otherwise; the BB2 min alone when that
+candidate degenerates; the bare BB2 when the previous pair is not fresh.
+``rule`` only names the restart after a pair without curvature
+("fallback" for "quad", "nocurv" for "unc"), and ``clamp`` bounds every
+stepsize as the globalized solver does.  Uncsolver traces store the
 infinity gradient norm, so exact squared 2-norms must be supplied via
 ``gnorm_sq`` there; replaying the trajectory from the traced stepsizes
 reproduces them bitwise when every line search accepted its first trial.
@@ -65,7 +66,7 @@ def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
             elif row.k < 5:
                 out.append(("bb1", _clip(cur.bb1, clamp), tau))
             elif math.isfinite(cur.bb2) and cur.bb2 / cur.bb1 < tau:
-                branch, alpha = _short_step(hist, use_new_step, rule,
+                branch, alpha = _short_step(hist, use_new_step,
                                             tol_den, tol_dep)
                 tau /= gamma
                 out.append((branch, _clip(alpha, clamp), tau))
@@ -77,43 +78,20 @@ def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
     return out
 
 
-def _short_step(hist, use_new_step, rule, tol_den, tol_dep):
+def _short_step(hist, use_new_step, tol_den, tol_dep):
     cur = hist.rec(-1)
     prev = hist.rec(-2)
-    if rule == "quad":
-        cands = [cur.bb2]
-        if math.isfinite(prev.bb2) and prev.bb2 > 0.0:
-            cands.append(prev.bb2)
-        branch = "short_bb2"
-        if use_new_step:
-            try:
-                cands.append(alpha_new_bb(hist, tol_dep))
-                branch = "short_new"
-            except Degenerate:
-                pass
-        if branch != "short_new":
-            try:
-                cands.append(bbq_stepsize(prev.bb1, cur.bb1,
-                                          prev.bb2, cur.bb2, tol_den))
-                branch = "short_bbq"
-            except Degenerate:
-                pass
-        return branch, min(cands)
     if not math.isfinite(prev.bb1):
         return "short_bb2only", cur.bb2
     cands = [prev.bb2, cur.bb2]
-    branch = "short_bb2"
-    if math.isfinite(hist.rec(-3).bb1) and use_new_step:
-        try:
+    try:
+        if use_new_step and math.isfinite(hist.rec(-3).bb1):
             cands.append(alpha_new_bb(hist, tol_dep))
             branch = "short_new"
-        except Degenerate:
-            pass
-    else:
-        try:
+        else:
             cands.append(bbq_stepsize(prev.bb1, cur.bb1,
                                       prev.bb2, cur.bb2, tol_den))
             branch = "short_bbq"
-        except Degenerate:
-            pass
+    except Degenerate:
+        branch = "short_bb2"
     return branch, min(cands)

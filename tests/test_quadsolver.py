@@ -19,13 +19,14 @@ from qtgrad.quadprob import (
     gradient,
     starting_point,
 )
+from qtgrad.errors import InvalidInput
 from qtgrad.quadsolver import (
     QuadSolverConfig,
     solve_bb,
     solve_new,
     verify_3d_termination,
 )
-from qtgrad.report import STATUS_MAXITER, STATUS_OK
+from qtgrad.report import STATUS_MAXITER, STATUS_NONFINITE, STATUS_OK
 
 from replay import SHORT_BRANCHES, replay_branches
 
@@ -144,6 +145,25 @@ def test_trace_replay_matches_decision_rule(use_new):
     assert rep.branch_counts.get(key, 0) > 0
 
 
+def test_degenerate_new_step_takes_bb2_min():
+    # on this run the three-point step degenerates at two short steps;
+    # the step taken is then min(BB2_k, BB2_{k-1}) alone, not BBQ
+    p = generate(1, 20, 1e4, seed=0)
+    x0 = starting_point(p, 0)
+    cfg = QuadSolverConfig(keep_trace=True)
+    rep = solve_new(p, x0, cfg)
+    g1 = gradient(p, x0)
+    expect = replay_branches(rep.trace, float(g1 @ g1), cfg.tau1, cfg.gamma,
+                             tol_den=cfg.tol_den, tol_dep=cfg.tol_dep)
+    rows = rep.trace
+    assert [row.branch for row in rows] == [b for b, _, _ in expect]
+    fell_back = [i for i, row in enumerate(rows) if row.branch == "short_bb2"]
+    assert fell_back
+    for i in fell_back:
+        assert rows[i].stepsize == expect[i][1]
+        assert rows[i].stepsize == min(rows[i - 2].bb2, rows[i - 1].bb2)
+
+
 def test_rerun_is_bitwise_identical():
     p = generate(2, 40, 1e3, seed=7)
     x0 = starting_point(p, 0)
@@ -192,6 +212,38 @@ def test_iteration_budget_reported():
     assert rep.status == STATUS_MAXITER
     assert rep.iterations == 3
     assert rep.message
+
+
+def test_bb_trace_carries_zero_tau():
+    p = generate(1, 30, 1e3, seed=0)
+    rep = solve_bb(p, starting_point(p, 0), QuadSolverConfig(keep_trace=True))
+    assert rep.status == STATUS_OK
+    assert set(rep.branch_counts) == {"sd", "bb1"}
+    assert all(row.tau == 0.0 for row in rep.trace)
+
+
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_start_is_invalid_input(solver, bad):
+    p = generate(1, 10, 1e2, seed=0)
+    x0 = starting_point(p, 0)
+    x0[3] = bad
+    with pytest.raises(InvalidInput):
+        solver(p, x0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_overflowing_start_gradient_reports_nonfinite(solver):
+    # a finite x0 whose gradient norm overflows used to pass the
+    # convergence test inf <= eps * inf and report ok
+    p = generate(1, 10, 1e2, seed=0)
+    x0 = starting_point(p, 0)
+    x0[0] = 1e300
+    rep = solver(p, x0)
+    assert rep.status == STATUS_NONFINITE
+    assert not rep.solved
+    assert rep.iterations == 0
 
 
 def test_config_rejects_bad_knobs():

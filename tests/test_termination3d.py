@@ -6,7 +6,7 @@ import pytest
 from oracles import bisect_largest_eig, lapack_largest_eig
 from qtgrad import quadprob
 from qtgrad.errors import Degenerate, LinearDependence
-from qtgrad.stepsizes import StepPair, bb1, bb2, sd_stepsize
+from qtgrad.stepsizes import StepPair, bb1, bb2, bbq_stepsize, sd_stepsize
 from qtgrad.termination3d import (
     GradientHistory,
     HMatrix,
@@ -16,6 +16,7 @@ from qtgrad.termination3d import (
     hmatrix_from_recurrence,
     largest_root_cubic,
     largest_root_quartic,
+    next_stepsize,
     project_hessian,
     recurrence_scalars,
 )
@@ -302,3 +303,89 @@ def test_alpha_new_bb_degenerate_without_stepsizes():
         hist.push(1.0, 0.5, 0.4)     # bb present, stepsizes never set
     with pytest.raises(Degenerate):
         alpha_new_bb(hist)
+
+
+# ------------------------------------------------------- adaptive rule
+
+RULE = {"tol_den": 1e-12, "tol_dep": 1e-10}
+
+
+def _rule_history(stale=None, degenerate=False):
+    """Four fresh records from an exact BB1 run, optionally spoiled.
+
+    ``stale`` blanks the BB values of the record that many steps back
+    (-2 leaves one fresh pair, -3 two); ``degenerate`` sets the stepsize
+    taken at k-3 to the BB1 at k-2, which makes zeta vanish.
+    """
+    _, (hist, _) = _history_case(0, steps=4)
+    if stale is not None:
+        hist.rec(stale).bb1 = hist.rec(stale).bb2 = math.nan
+    if degenerate:
+        hist.rec(-4).stepsize = hist.rec(-3).bb1
+    return hist
+
+
+def test_next_stepsize_warm_up_is_bb1():
+    hist = _rule_history()
+    cur = hist.rec(-1)
+    assert next_stepsize(hist, 4, 1.0, 2.0, True, **RULE) == (cur.bb1, "bb1", 1.0)
+
+
+def test_next_stepsize_long_step_grows_tau():
+    hist = _rule_history()
+    cur = hist.rec(-1)
+    tau = 0.5 * cur.bb2 / cur.bb1
+    assert next_stepsize(hist, 6, tau, 1.5, True, **RULE) == (
+        cur.bb1, "bb1", tau * 1.5)
+
+
+def test_next_stepsize_short_new_with_three_fresh_pairs():
+    hist = _rule_history()
+    prev, cur = hist.rec(-2), hist.rec(-1)
+    expect = min(prev.bb2, cur.bb2, alpha_new_bb(hist))
+    assert expect < min(prev.bb2, cur.bb2)
+    assert next_stepsize(hist, 6, 1.0, 2.0, True, **RULE) == (
+        expect, "short_new", 0.5)
+
+
+@pytest.mark.parametrize("stale, use_new", [(-3, True), (None, False)])
+def test_next_stepsize_short_bbq(stale, use_new):
+    # two fresh pairs, or three with the new step switched off
+    hist = _rule_history(stale=stale)
+    prev, cur = hist.rec(-2), hist.rec(-1)
+    expect = min(prev.bb2, cur.bb2,
+                 bbq_stepsize(prev.bb1, cur.bb1, prev.bb2, cur.bb2))
+    assert expect < min(prev.bb2, cur.bb2)
+    assert next_stepsize(hist, 6, 1.0, 2.0, use_new, **RULE) == (
+        expect, "short_bbq", 0.5)
+
+
+def test_next_stepsize_bare_bb2_with_one_fresh_pair():
+    hist = _rule_history(stale=-2)
+    assert next_stepsize(hist, 6, 1.0, 2.0, True, **RULE) == (
+        hist.rec(-1).bb2, "short_bb2only", 0.5)
+
+
+def test_next_stepsize_degenerate_new_step_leaves_bb2_min():
+    hist = _rule_history(degenerate=True)
+    with pytest.raises(Degenerate):
+        alpha_new_bb(hist)
+    prev, cur = hist.rec(-2), hist.rec(-1)
+    assert next_stepsize(hist, 6, 1.0, 2.0, True, **RULE) == (
+        min(prev.bb2, cur.bb2), "short_bb2", 0.5)
+
+
+def test_next_stepsize_none_without_curvature():
+    hist = _rule_history(stale=-1)
+    alpha, _, tau = next_stepsize(hist, 6, 0.7, 2.0, True, **RULE)
+    assert alpha is None
+    assert tau == 0.7
+
+
+@pytest.mark.parametrize("stale, degenerate", [
+    (None, False), (-3, False), (-2, False), (None, True)])
+def test_next_stepsize_zero_tau_never_takes_a_short_step(stale, degenerate):
+    hist = _rule_history(stale=stale, degenerate=degenerate)
+    for k in (4, 5, 50):
+        assert next_stepsize(hist, k, 0.0, 2.0, True, **RULE) == (
+            hist.rec(-1).bb1, "bb1", 0.0)

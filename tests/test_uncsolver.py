@@ -8,11 +8,12 @@ import pytest
 
 import qtgrad.uncsolver as unc
 from qtgrad import testfuns
-from qtgrad.errors import LineSearchFailure, NonDescentDirection
+from qtgrad.errors import InvalidInput, LineSearchFailure, NonDescentDirection
 from qtgrad.report import (
     STATUS_FEVAL_BUDGET,
     STATUS_LINESEARCH,
     STATUS_MAXITER,
+    STATUS_NONFINITE,
     STATUS_OK,
 )
 from qtgrad.uncsolver import (
@@ -141,6 +142,35 @@ def test_concave_region_uses_nocurv_branch():
     assert rep.trace[1].branch == "nocurv"
     assert rep.trace[1].stepsize == 0.5
     assert rep.branch_counts.get("nocurv", 0) >= 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_start_is_invalid_input(bad):
+    with pytest.raises(InvalidInput):
+        solve(testfuns.rosenbrock2(), x0=np.array([bad, 1.0]))
+
+
+def _inf_value(x):
+    return math.inf
+
+
+def _nan_gradient(x):
+    return np.array([math.nan])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("f, x0", [
+    (testfuns.rosenbrock2(), np.array([1e300, 1.0])),
+    (ObjectiveFn("inf", 1, _inf_value, lambda x: np.array([1.0]),
+                 np.array([0.0])), None),
+    (ObjectiveFn("nan", 1, parabola, _nan_gradient, np.array([0.0])), None),
+], ids=["overflow", "value", "gradient"])
+def test_nonfinite_start_value_or_gradient_reports_nonfinite(f, x0):
+    # these used to end in linesearch_failure after 61 evaluations
+    rep = solve(f, x0=x0)
+    assert rep.status == STATUS_NONFINITE
+    assert rep.iterations == 0
+    assert rep.nfe == 1 and rep.ngrad == 1
 
 
 def test_feval_budget_status():
