@@ -24,10 +24,10 @@ class NonPositiveCurvature(QtgradError):
 class Degenerate(QtgradError):
     """A closed-form stepsize could not be formed from the history.
 
-    Raised by the BBQ formula and by the recurrence-based three-dimensional
-    stepsize whenever a guard trips (tiny denominator, negative discriminant,
-    nonpositive result, sigma too close to 1, g_r <= 0).  Callers respond by
-    dropping down to a simpler stepsize, never by aborting the run.
+    Raised by the BBQ formula and by the three-dimensional stepsize and its
+    cubic root whenever a guard trips (tiny denominator, negative
+    discriminant, sigma too close to 1, g_r <= 0, failed cubic, nonpositive
+    result).  Callers drop down to a simpler stepsize, never abort the run.
     """
 
 
@@ -36,7 +36,7 @@ class LinearDependence(Degenerate):
 
 
 class NumericalFailure(QtgradError):
-    """A root finder failed its residual check or iteration budget."""
+    """The quartic root finder failed its bracket or iteration budget."""
 
 
 class NonDescentDirection(QtgradError):

@@ -52,7 +52,7 @@ class QuadraticProblem:
 
     ``spectrum`` is the diagonal v, not the Hessian eigenvalues; those are
     ``grad_scale * v``.  ``gen_kappa`` is the kappa the generator was asked
-    for, kept for serialization; the realized condition number is ``kappa``.
+    for; the realized condition number is ``kappa``.
     """
 
     spectrum: np.ndarray
@@ -167,6 +167,8 @@ def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
     ``x*`` is uniform on [-10, 10]^n from the (1,) stream; the spectrum
     comes from the (0,) stream so changing one never perturbs the other.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidSpec("n must be an integer")
     if n < 3:
         raise InvalidSpec("n must be at least 3")
     if set_id not in SET_IDS:
@@ -203,41 +205,3 @@ def starting_point(p: QuadraticProblem, replicate: int) -> np.ndarray:
     """
     rng = _stream(p.seed, (_START_KEY, int(replicate)))
     return rng.uniform(-10.0, 10.0, size=p.n)
-
-
-def save_problem(p: QuadraticProblem, path) -> None:
-    """Write a problem as a small text file.
-
-    First line is ``set,n,kappa,seed,form`` (kappa as requested at
-    generation time), then one spectrum entry per line, then one x* entry
-    per line.  Everything round-trips through :func:`load_problem`.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{p.set_id},{p.n},{p.gen_kappa:.17g},{p.seed},{p.form.value}\n"
-        )
-        for val in p.spectrum:
-            fh.write(f"{val:.17g}\n")
-        for val in p.x_star:
-            fh.write(f"{val:.17g}\n")
-
-
-def load_problem(path) -> QuadraticProblem:
-    """Read a problem written by :func:`save_problem`."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 5:
-            raise InvalidSpec(f"bad problem header: {header}")
-        set_id, n, kappa, seed, form = header
-        n = int(n)
-        rest = [float(line) for line in fh if line.strip()]
-    if len(rest) != 2 * n:
-        raise InvalidSpec(f"expected {2 * n} values, found {len(rest)}")
-    return QuadraticProblem(
-        spectrum=np.array(rest[:n]),
-        x_star=np.array(rest[n:]),
-        form=Form(form),
-        set_id=int(set_id),
-        gen_kappa=float(kappa),
-        seed=int(seed),
-    )

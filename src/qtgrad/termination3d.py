@@ -12,7 +12,9 @@ the last three gradients.  Two independent routes produce H:
   no Hessian access at all.
 
 On a quadratic with exact history both routes give the same matrix up to
-roundoff.  The largest eigenvalue of the 3x3 matrix comes from the
+roundoff.  The recurrence route runs in plain floats on the five entries
+of its tridiagonal H; :class:`HMatrix` serves outside input, the direct
+route and inspection.  Both share one solver for the largest root, the
 trigonometric closed form for cubic roots; the 4x4 variant used by the
 four-dimensional extension is solved by bisection on the characteristic
 polynomial and its derivatives.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +71,7 @@ class HMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class CubicSolve:
+class CubicSolve(NamedTuple):
     """Largest root of the 3x3 characteristic polynomial plus intermediates."""
 
     p: float
@@ -78,8 +80,7 @@ class CubicSolve:
     largest_root: float
 
 
-@dataclass(frozen=True)
-class RecurrenceScalars:
+class RecurrenceScalars(NamedTuple):
     """Closed-form scalars feeding the recurrence route to H.
 
     ``g_r`` and ``g_ar`` are the inner products g'r and g'(Ar) of the
@@ -189,33 +190,45 @@ def project_hessian(u: np.ndarray, v: np.ndarray, r: np.ndarray,
     return HMatrix(h)
 
 
-def largest_root_cubic(h: HMatrix, p_tol: float = 1e-12) -> CubicSolve:
-    """Largest eigenvalue of a symmetric 3x3 via the trigonometric form.
+def _largest_root(tr: float, tr2: float, det: float, p_tol: float = 1e-12):
+    """(p, q, theta, root) for z^3 - tr z^2 + (tr^2 - tr2)/2 z - det = 0.
 
-    Solves z^3 - tr z^2 + (tr^2 - tr(H^2))/2 z - det = 0.  The shifted
-    cubic has p = (tr^2 - 3 tr(H^2)) / 6, which is nonpositive for
-    symmetric input; when p is negligible all eigenvalues coincide and
-    the root is tr/3.  The arccos argument is clamped to [-1, 1] to
-    absorb roundoff at double eigenvalues.
+    The characteristic cubic of a symmetric 3x3 from its trace, tr(H^2)
+    and det.  The shifted cubic has p = (tr^2 - 3 tr2) / 6, nonpositive
+    for symmetric input; when p is negligible all eigenvalues coincide
+    and the root is tr/3.  The arccos argument is clamped to [-1, 1] to
+    absorb roundoff at double eigenvalues.  Raises Degenerate on p > 0, on
+    a large residual and on a root that is not positive (no stepsize).
+    Conditionals stand in for min/max, whose calls cost more here.
     """
-    if h.dim != 3:
-        raise ValueError("largest_root_cubic wants a 3x3 matrix")
-    tr, tr2, det = h.trace, h.trace_sq, h.det
     p = (tr * tr - 3.0 * tr2) / 6.0
     q = (5.0 * tr**3 - 9.0 * tr * tr2) / 54.0 - det
-    if abs(p) <= p_tol * max(1.0, abs(tr2)):
+    if abs(p) <= p_tol * (abs(tr2) if abs(tr2) > 1.0 else 1.0):
         theta = 0.0
         root = tr / 3.0
     else:
         if p > 0.0:
-            raise NumericalFailure(f"shifted cubic has p = {p} > 0")
-        cos_arg = -(q / 2.0) * (3.0 / abs(p)) ** 1.5
-        theta = math.acos(min(1.0, max(-1.0, cos_arg)))
+            raise Degenerate(f"shifted cubic has p = {p} > 0")
+        c = -(q / 2.0) * (3.0 / abs(p)) ** 1.5
+        theta = math.acos(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
         root = tr / 3.0 + 2.0 * math.cos(theta / 3.0) * math.sqrt(abs(p) / 3.0)
     residual = ((root - tr) * root + (tr * tr - tr2) / 2.0) * root - det
-    if abs(residual) > 1e-9 * max(1.0, abs(tr) ** 3):
-        raise NumericalFailure(f"cubic residual {residual} too large")
-    return CubicSolve(p, q, theta, root)
+    bound = abs(tr) ** 3
+    if not abs(residual) <= 1e-9 * (bound if bound > 1.0 else 1.0):
+        raise Degenerate(f"cubic residual {residual} too large")
+    if not (math.isfinite(root) and root > 0.0):
+        raise Degenerate(f"largest root = {root}")
+    return p, q, theta, root
+
+
+def largest_root_cubic(h: HMatrix, p_tol: float = 1e-12) -> CubicSolve:
+    """Largest eigenvalue of a symmetric 3x3 via the trigonometric form.
+
+    Raises Degenerate when the solve fails or the root is not positive.
+    """
+    if h.dim != 3:
+        raise ValueError("largest_root_cubic wants a 3x3 matrix")
+    return CubicSolve(*_largest_root(h.trace, h.trace_sq, h.det, p_tol))
 
 
 def largest_root_quartic(h: HMatrix, max_steps: int = 200,
@@ -273,10 +286,8 @@ def largest_root_quartic(h: HMatrix, max_steps: int = 200,
 def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,
                      hess_vec) -> float:
     """Three-dimensional quadratic-termination stepsize, direct route."""
-    solve = largest_root_cubic(project_hessian(u, v, r, hess_vec))
-    if not solve.largest_root > 0.0:
-        raise Degenerate(f"largest root = {solve.largest_root}")
-    return 1.0 / solve.largest_root
+    return 1.0 / largest_root_cubic(
+        project_hessian(u, v, r, hess_vec)).largest_root
 
 
 def recurrence_scalars(hist: GradientHistory,
@@ -292,7 +303,7 @@ def recurrence_scalars(hist: GradientHistory,
     """
     if not hist.full:
         raise Degenerate("history holds fewer than four records")
-    r3, r2, r1, r0 = (hist.rec(i) for i in (-4, -3, -2, -1))
+    r3, r2, r1, r0 = hist._recs
     a3 = r3.stepsize       # stepsize taken at k-3
     a2 = r2.stepsize       # stepsize taken at k-2
     b2 = r2.bb1            # BB1 at k-2
@@ -303,7 +314,7 @@ def recurrence_scalars(hist: GradientHistory,
     n1 = r1.gnorm_sq
     for name, val in (("alpha_{k-3}", a3), ("alpha_{k-2}", a2),
                       ("bb1_{k-2}", b2), ("bb1_{k-1}", b1), ("bb1_k", b0)):
-        if not (math.isfinite(val) and val > 0.0):
+        if not 0.0 < val < math.inf:
             raise Degenerate(f"{name} = {val}")
     t = 1.0 - a3 / b2
     zeta = t * n3 / n2
@@ -321,58 +332,62 @@ def recurrence_scalars(hist: GradientHistory,
                 - (lead / a3) * gamma * (1.0 - sigma))
     g_ar = (1.0 / b0 + gamma / a2) * n1 + varsigma * n2
     out = RecurrenceScalars(sigma, delta, zeta, gamma, varsigma, g_r, g_ar)
-    for val in (sigma, delta, zeta, gamma, varsigma, g_r, g_ar):
+    for val in out:
         if not math.isfinite(val):
             raise Degenerate(f"nonfinite recurrence scalars: {out}")
     return out
 
 
-def hmatrix_from_recurrence(scal: RecurrenceScalars,
-                            hist: GradientHistory) -> HMatrix:
-    """Assemble H from the recurrence scalars; needs g_r > 0."""
-    if not scal.g_r > 0.0:
-        raise Degenerate(f"g_r = {scal.g_r}")
-    if not scal.sigma < 1.0:
-        raise Degenerate(f"sigma = {scal.sigma}")
-    r3, r2, r1 = (hist.rec(i) for i in (-4, -3, -2))
+def _recurrence_entries(scal: RecurrenceScalars, hist: GradientHistory):
+    """(h11, h12, h22, h23, h33) of H, h13 = 0; needs g_r > 0, sigma < 1."""
+    sigma, delta, _, gamma, _, g_r, g_ar = scal
+    if not g_r > 0.0:
+        raise Degenerate(f"g_r = {g_r}")
+    if not sigma < 1.0:
+        raise Degenerate(f"sigma = {sigma}")
+    r3, r2, r1, _ = hist._recs
     a3, a2 = r3.stepsize, r2.stepsize
     b2, b1 = r2.bb1, r1.bb1
     norm3 = math.sqrt(r3.gnorm_sq)
     norm2 = math.sqrt(r2.gnorm_sq)
-    one_minus = 1.0 - scal.sigma
-    h11 = 1.0 / b2
-    h12 = -math.sqrt(one_minus) * norm2 / (a3 * norm3)
-    h22 = (1.0 / b1 - 2.0 * scal.sigma * scal.delta
-           + scal.sigma / b2) / one_minus
-    h23 = -math.sqrt(scal.g_r) / (a2 * norm2 * math.sqrt(one_minus))
-    h33 = scal.g_ar / scal.g_r + scal.gamma / a2
-    entries = np.array([
-        [h11, h12, 0.0],
-        [h12, h22, h23],
-        [0.0, h23, h33],
-    ])
-    if not np.all(np.isfinite(entries)):
-        raise Degenerate("nonfinite H entries")
-    return HMatrix(entries)
+    one_minus = 1.0 - sigma
+    entries = (
+        1.0 / b2,
+        -math.sqrt(one_minus) * norm2 / (a3 * norm3),
+        (1.0 / b1 - 2.0 * sigma * delta + sigma / b2) / one_minus,
+        -math.sqrt(g_r) / (a2 * norm2 * math.sqrt(one_minus)),
+        g_ar / g_r + gamma / a2,
+    )
+    for val in entries:
+        if not math.isfinite(val):
+            raise Degenerate(f"nonfinite H entries: {entries}")
+    return entries
+
+
+def _tridiagonal_invariants(h11, h12, h22, h23, h33):
+    """(tr H, tr(H^2), det H) of the symmetric tridiagonal H."""
+    return (h11 + h22 + h33,
+            h11 * h11 + h22 * h22 + h33 * h33 + 2.0 * (h12 * h12 + h23 * h23),
+            h11 * (h22 * h33 - h23 * h23) - h12 * h12 * h33)
+
+
+def hmatrix_from_recurrence(scal: RecurrenceScalars,
+                            hist: GradientHistory) -> HMatrix:
+    """Assemble H from the recurrence scalars; needs g_r > 0."""
+    h11, h12, h22, h23, h33 = _recurrence_entries(scal, hist)
+    return HMatrix(np.array([[h11, h12, 0.0], [h12, h22, h23],
+                             [0.0, h23, h33]]))
 
 
 def alpha_new_bb(hist: GradientHistory, tol_dep: float = 1e-10) -> float:
     """Three-dimensional quadratic-termination stepsize, recurrence route.
 
-    Every failure mode (short history, degenerate scalars, g_r <= 0,
-    indefinite or ill-posed H) surfaces as Degenerate so callers have a
-    single fallback path.
+    Plain float arithmetic throughout.  Every failure mode (short
+    history, degenerate scalars, g_r <= 0, indefinite or ill-posed H)
+    surfaces as Degenerate so callers have a single fallback path.
     """
-    scal = recurrence_scalars(hist, tol_dep)
-    h = hmatrix_from_recurrence(scal, hist)
-    try:
-        solve = largest_root_cubic(h)
-    except NumericalFailure as exc:
-        raise Degenerate(f"cubic solve failed: {exc}") from exc
-    root = solve.largest_root
-    if not (math.isfinite(root) and root > 0.0):
-        raise Degenerate(f"largest root = {root}")
-    return 1.0 / root
+    entries = _recurrence_entries(recurrence_scalars(hist, tol_dep), hist)
+    return 1.0 / _largest_root(*_tridiagonal_invariants(*entries))[3]
 
 
 def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,

@@ -81,7 +81,10 @@ def update_reference(state: ReferenceState, f_k: float) -> ReferenceState:
 
 
 def _search(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks):
-    """Backtracking loop; also returns the accepted point and value."""
+    """Backtracking loop; also returns the accepted point and value.
+
+    A NaN trial value ends the loop as if accepted, for the caller to report.
+    """
     gd = float(g @ d)
     if gd >= 0.0:
         raise NonDescentDirection(f"g'd = {gd}")
@@ -91,7 +94,7 @@ def _search(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks):
         trial = x + lam * d
         f_trial = float(value_fn(trial))
         nfe += 1
-        if f_trial <= f_r + delta * lam * gd:
+        if f_trial <= f_r + delta * lam * gd or math.isnan(f_trial):
             return lam, nfe, trial, f_trial
         lam *= eta
     raise LineSearchFailure(
@@ -155,8 +158,10 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     trial is clamped into [alpha_min, alpha_max].  Stops at
     ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
     aborts with its diagnostic.  A starting point that is not finite
-    raises InvalidInput; a starting value or gradient that is not finite
-    ends the run at once with status "nonfinite".
+    raises InvalidInput.  A value or gradient that is not finite, at the
+    start, at a NaN trial of the line search or at an accepted point,
+    ends the run at once with status "nonfinite"; an infinite trial value
+    is only a rejected trial.
     """
     cfg = cfg or UncSolverConfig()
     method = "alg1" if cfg.use_new_step else "alg1-bbq"
@@ -204,15 +209,20 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
             rep.nfe += cfg.max_backtracks + 1
             return finish(STATUS_LINESEARCH, str(exc))
         rep.nfe += used
+        it = rep.iterations + 1
+        if not math.isfinite(f_new):
+            return finish(STATUS_NONFINITE, f"value not finite at iteration {it}")
         hist.set_stepsize(lam)
         g_new = np.asarray(f.gradient(x_new), dtype=float)
         rep.ngrad += 1
+        gg_new = float(g_new @ g_new)
+        if not math.isfinite(gg_new):
+            return finish(STATUS_NONFINITE, f"gradient not finite at iteration {it}")
         rep.iterations += 1
         rep.count(branch)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
-        gg_new = float(g_new @ g_new)
         new_bb1 = math.nan
         new_bb2 = math.nan
         if sy > 0.0:

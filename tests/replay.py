@@ -15,10 +15,13 @@ on, or with the BBQ step otherwise; the BB2 min alone when that
 candidate degenerates; the bare BB2 when the previous pair is not fresh.
 ``rule`` only names the restart after a pair without curvature
 ("fallback" for "quad", "nocurv" for "unc"), and ``clamp`` bounds every
-stepsize as the globalized solver does.  Uncsolver traces store the
-infinity gradient norm, so exact squared 2-norms must be supplied via
-``gnorm_sq`` there; replaying the trajectory from the traced stepsizes
-reproduces them bitwise when every line search accepted its first trial.
+stepsize as the globalized solver does.  The exact squared 2-norms g'g
+at every traced iterate are supplied via ``gnorm_sq``: uncsolver traces
+store the infinity norm, and squaring a traced 2-norm back is one ulp
+off, which near-degenerate histories turn into a different Degenerate
+decision.  Replaying the trajectory from the traced stepsizes through the
+solver's own arithmetic reproduces them bitwise (for uncsolver, when
+every line search accepted its first trial).
 """
 
 import math
@@ -39,23 +42,23 @@ def _clip(alpha, clamp):
 
 def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
                     tol_den=1e-12, tol_dep=1e-10, rule="quad",
-                    clamp=None, gnorm_sq=None):
+                    clamp=None, *, gnorm_sq):
     """Expected (branch, stepsize, tau) triples, one per trace row.
 
-    ``rows`` are TraceRecord-likes carrying k, stepsize, branch, gnorm,
-    bb1, bb2 and tau; ``g1_sq`` is the squared gradient norm at the
-    starting point, which the trace does not contain.  The first row is
-    the warm start and is echoed as given.  Rows with k < 5 belong to
-    the BB1 warm-up.  A None stepsize in the result means the branch
-    does not determine it from history alone.  The returned tau is the
-    value in force after the decision, matching the trace convention.
+    ``rows`` are TraceRecord-likes carrying k, stepsize, branch, bb1, bb2
+    and tau; ``g1_sq`` is the squared gradient norm at the starting
+    point, which the trace does not contain, and ``gnorm_sq[i]`` the one
+    at the iterate row i reaches.  The first row is the warm start and
+    is echoed as given.  Rows with k < 5 belong to the BB1 warm-up.  A
+    None stepsize in the result means the branch does not determine it
+    from history alone.  The returned tau is the value in force after the
+    decision, matching the trace convention.
     """
     hist = GradientHistory()
     hist.push(g1_sq)
     tau = tau1
     out = []
     for i, row in enumerate(rows):
-        gg_row = row.gnorm * row.gnorm if gnorm_sq is None else gnorm_sq[i]
         if i == 0:
             out.append((row.branch, row.stepsize, tau))
         else:
@@ -74,7 +77,7 @@ def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
                 tau *= gamma
                 out.append(("bb1", _clip(cur.bb1, clamp), tau))
         hist.set_stepsize(row.stepsize)
-        hist.push(gg_row, row.bb1, row.bb2)
+        hist.push(gnorm_sq[i], row.bb1, row.bb2)
     return out
 
 

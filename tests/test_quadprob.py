@@ -89,6 +89,9 @@ def test_generate_is_deterministic_and_streams_are_split():
     (2, 9, 100.0, 0),       # set 2 wants even n
     (3, 12, 100.0, 0),      # set 3 wants n % 5 == 0
     (5, 10, 50.0, 0),       # sets 3/5 want kappa >= 100
+    (1, 1e6, 1e4, 0),       # n must be an int, not a float
+    (1, 20.0, 100.0, 0),    # ... even an integral one
+    (1, True, 100.0, 0),    # ... or a bool
 ])
 def test_generate_rejects_bad_specs(args):
     with pytest.raises(InvalidSpec):
@@ -102,17 +105,3 @@ def test_problem_validation():
     with pytest.raises(InvalidSpec):
         quadprob.QuadraticProblem(
             spectrum=np.array([1.0, 2.0]), x_star=np.zeros(3), form=Form.TESTQP)
-
-
-def test_save_load_roundtrip(tmp_path):
-    p = quadprob.generate(3, 15, 1e4, seed=3)
-    path = tmp_path / "prob.txt"
-    quadprob.save_problem(p, path)
-    q = quadprob.load_problem(path)
-    np.testing.assert_array_equal(p.spectrum, q.spectrum)
-    np.testing.assert_array_equal(p.x_star, q.x_star)
-    assert (p.form, p.set_id, p.gen_kappa, p.seed) == \
-        (q.form, q.set_id, q.gen_kappa, q.seed)
-    # replicates keep working after a roundtrip
-    np.testing.assert_array_equal(
-        quadprob.starting_point(p, 2), quadprob.starting_point(q, 2))

@@ -2,8 +2,9 @@
 
 The replay tests reconstruct every branch decision of solve_new from its
 own trace with an independent re-run of the decision rule, pinning the
-wiring (ratio test, candidate set, tau updates); the stepsize values
-themselves are covered by the stepsize and termination3d tests.
+wiring (ratio test, candidate set, tau updates) and every stepsize
+bitwise; the stepsize formulas themselves are covered by the stepsize and
+termination3d tests.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from qtgrad import kernels
 from qtgrad.quadprob import (
     SET_IDS,
     Form,
@@ -111,50 +113,69 @@ def test_tau_trace_follows_gamma():
     assert seen_short and seen_long
 
 
-@pytest.mark.parametrize("use_new", [True, False])
-def test_trace_replay_matches_decision_rule(use_new):
-    p = generate(4, 50, 1e4, seed=11)
-    x0 = starting_point(p, 1)
-    cfg = QuadSolverConfig(tau1=0.9, gamma=1.0, keep_trace=True,
-                           use_new_step=use_new)
+def _exact_gnorm_sq_along(p, x0, rows):
+    """Squared gradient norms at every traced iterate, replayed bitwise.
+
+    The trace stores the gradient norm, and squaring it back is one ulp
+    off g'g, which near-degenerate histories amplify into a different
+    Degenerate decision; the solver's own kernel reproduces g'g exactly.
+    """
+    x = np.array(x0, dtype=float)
+    g = np.empty_like(x)
+    g_next = np.empty_like(x)
+    kernels.quad_gradient(p.spectrum, p.x_star, x, p.grad_scale, g)
+    out = []
+    for row in rows:
+        _, _, gg = kernels.quad_step(p.spectrum, p.x_star, x, g, g_next,
+                                     row.stepsize, p.grad_scale)
+        g, g_next = g_next, g
+        out.append(gg)
+    return out
+
+
+REPLAY_CASES = [
+    pytest.param((4, 50, 1e4, 11), 1, {"tau1": 0.9, "gamma": 1.0}, use_new,
+                 id=str(use_new))
+    for use_new in (True, False)
+] + [
+    # near-degenerate histories: squaring the traced gnorm back flipped
+    # the Degenerate decision of the three-point step on these runs
+    pytest.param((1, 50, 1e4, 2), 0, {}, True, id="set1-n50-seed2"),
+    pytest.param((3, 20, 1e4, 1), 0, {}, True, id="set3-n20-seed1"),
+]
+
+
+@pytest.mark.parametrize("spec, start, knobs, use_new", REPLAY_CASES)
+def test_trace_replay_matches_decision_rule(spec, start, knobs, use_new):
+    p = generate(*spec)
+    x0 = starting_point(p, start)
+    cfg = QuadSolverConfig(keep_trace=True, use_new_step=use_new, **knobs)
     rep = solve_new(p, x0, cfg)
     g1 = gradient(p, x0)
     expect = replay_branches(rep.trace, float(g1 @ g1), cfg.tau1, cfg.gamma,
                              use_new_step=use_new,
-                             tol_den=cfg.tol_den, tol_dep=cfg.tol_dep)
+                             tol_den=cfg.tol_den, tol_dep=cfg.tol_dep,
+                             gnorm_sq=_exact_gnorm_sq_along(p, x0, rep.trace))
     assert len(expect) == len(rep.trace)
-    rows = rep.trace
-    for i, (row, (branch, alpha, tau)) in enumerate(zip(rows, expect)):
+    for row, (branch, alpha, tau) in zip(rep.trace, expect):
         assert row.branch == branch
-        if branch == "short_new":
-            # replay squares the traced gnorm back, and near-degenerate
-            # histories amplify that one-ulp roundtrip by many orders, so
-            # the recomputed value is only a sanity band here; the exact
-            # check is the defining cap by the BB2 candidates, and the
-            # stepsize itself is pinned by the termination3d tests
-            assert row.stepsize == pytest.approx(alpha, rel=0.05)
-            cap = rows[i - 1].bb2
-            prev_bb2 = rows[i - 2].bb2
-            if math.isfinite(prev_bb2) and prev_bb2 > 0.0:
-                cap = min(cap, prev_bb2)
-            assert 0.0 < row.stepsize <= cap
-        else:
-            assert row.stepsize == alpha
+        assert row.stepsize == alpha
         assert row.tau == tau
     key = "short_new" if use_new else "short_bbq"
     assert rep.branch_counts.get(key, 0) > 0
 
 
 def test_degenerate_new_step_takes_bb2_min():
-    # on this run the three-point step degenerates at two short steps;
-    # the step taken is then min(BB2_k, BB2_{k-1}) alone, not BBQ
-    p = generate(1, 20, 1e4, seed=0)
+    # on this run the three-point step degenerates at several short
+    # steps; the step taken is then min(BB2_k, BB2_{k-1}) alone, not BBQ
+    p = generate(1, 20, 1e4, seed=10)
     x0 = starting_point(p, 0)
     cfg = QuadSolverConfig(keep_trace=True)
     rep = solve_new(p, x0, cfg)
     g1 = gradient(p, x0)
     expect = replay_branches(rep.trace, float(g1 @ g1), cfg.tau1, cfg.gamma,
-                             tol_den=cfg.tol_den, tol_dep=cfg.tol_dep)
+                             tol_den=cfg.tol_den, tol_dep=cfg.tol_dep,
+                             gnorm_sq=_exact_gnorm_sq_along(p, x0, rep.trace))
     rows = rep.trace
     assert [row.branch for row in rows] == [b for b, _, _ in expect]
     fell_back = [i for i, row in enumerate(rows) if row.branch == "short_bb2"]

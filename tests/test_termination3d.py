@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import bisect_largest_eig, lapack_largest_eig
-from qtgrad import quadprob
+from qtgrad import quadprob, termination3d
 from qtgrad.errors import Degenerate, LinearDependence
+from qtgrad.quadsolver import QuadSolverConfig, solve_new
 from qtgrad.stepsizes import StepPair, bb1, bb2, bbq_stepsize, sd_stepsize
 from qtgrad.termination3d import (
     GradientHistory,
@@ -19,6 +20,7 @@ from qtgrad.termination3d import (
     next_stepsize,
     project_hessian,
     recurrence_scalars,
+    _tridiagonal_invariants,
 )
 
 
@@ -139,6 +141,13 @@ def test_cubic_indefinite_input():
     A = random_symmetric(rng, 3, spectrum=np.array([-4.0, 1.0, 2.5]))
     root = largest_root_cubic(HMatrix(A)).largest_root
     assert root == pytest.approx(2.5, rel=1e-11)
+
+
+def test_cubic_rejects_nonpositive_root():
+    # no stepsize comes from a matrix without a positive eigenvalue
+    for a in (-np.eye(3), np.diag([-3.0, -1.0, -0.5])):
+        with pytest.raises(Degenerate):
+            largest_root_cubic(HMatrix(a))
 
 
 def test_cubic_near_double_eigenvalue():
@@ -295,6 +304,75 @@ def test_alpha_new_routes_agree():
         # reciprocal of an eigenvalue of a section of A
         lam = p.hessian_diag
         assert 1.0 / lam.max() - 1e-12 <= a_rec <= 1.0 / lam.min() + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tridiagonal_invariants_match_hmatrix(seed):
+    rng = np.random.default_rng(500 + seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    h11, h12, h22, h23, h33 = rng.uniform(-10.0, 10.0, 5) * scale
+    h = HMatrix(np.array([[h11, h12, 0.0], [h12, h22, h23], [0.0, h23, h33]]))
+    tr, tr2, det = _tridiagonal_invariants(h11, h12, h22, h23, h33)
+    scale = float(np.abs(h.entries).max())   # entry scale for the abs slack
+    assert tr == pytest.approx(h.trace, rel=1e-14, abs=1e-14 * scale)
+    assert tr2 == pytest.approx(h.trace_sq, rel=1e-14)
+    assert det == pytest.approx(h.det, rel=1e-12, abs=1e-13 * scale**3)
+
+
+def _solver_histories(kappa):
+    """Copies of every history solve_new hands to alpha_new_bb.
+
+    Sets 1-5 at n = 20, 100 and 1000, starting points 0-3.
+    """
+    seen = []
+    real = termination3d.alpha_new_bb
+
+    def spy(hist, tol_dep=1e-10):
+        snap = GradientHistory()
+        for i in (-4, -3, -2, -1):
+            rec = hist.rec(i)
+            snap.push(rec.gnorm_sq, rec.bb1, rec.bb2)
+            snap.set_stepsize(rec.stepsize)
+        seen.append(snap)
+        return real(hist, tol_dep)
+
+    termination3d.alpha_new_bb = spy
+    try:
+        for set_id in quadprob.SET_IDS:
+            for n in (20, 100, 1000):
+                p = quadprob.generate(set_id, n, kappa, seed=0)
+                for start in range(4):
+                    solve_new(p, quadprob.starting_point(p, start),
+                              QuadSolverConfig())
+    finally:
+        termination3d.alpha_new_bb = real
+    return seen
+
+
+def _matrix_route_step(hist):
+    """1/largest_root_cubic of the assembled HMatrix, None if Degenerate."""
+    try:
+        h = hmatrix_from_recurrence(recurrence_scalars(hist), hist)
+        return 1.0 / largest_root_cubic(h).largest_root
+    except Degenerate:
+        return None
+
+
+@pytest.mark.parametrize("kappa, rel", [(1e2, 1e-12), (1e4, 1e-8), (1e6, 1e-8)])
+def test_float_core_matches_matrix_route(kappa, rel):
+    # the float path and the HMatrix/LAPACK path differ only in roundoff
+    # of tr(H^2) and det H; on solver histories they must agree
+    hists = _solver_histories(kappa)
+    assert len(hists) > 1000
+    for hist in hists:
+        ref = _matrix_route_step(hist)
+        try:
+            alpha = alpha_new_bb(hist)
+        except Degenerate:
+            alpha = None
+        assert (alpha is None) == (ref is None)
+        if ref is not None:
+            assert alpha == pytest.approx(ref, rel=rel)
 
 
 def test_alpha_new_bb_degenerate_without_stepsizes():

@@ -173,6 +173,51 @@ def test_nonfinite_start_value_or_gradient_reports_nonfinite(f, x0):
     assert rep.nfe == 1 and rep.ngrad == 1
 
 
+def _sphere(x):
+    return float(x @ x)
+
+
+def _sphere_with_hole(inner):
+    """x @ x with value ``inner`` wherever |x_0| < 0.5, plus its gradient."""
+    def value(x):
+        return inner if abs(x[0]) < 0.5 else _sphere(x)
+    return value, lambda x: 2.0 * x
+
+
+def _nan_gradient_near_origin(x):
+    return np.full_like(x, math.nan) if abs(x[0]) < 0.5 else 2.0 * x
+
+
+@pytest.mark.parametrize("value, gradient, what", [
+    (*_sphere_with_hole(math.nan), "value"),
+    (*_sphere_with_hole(-math.inf), "value"),
+    (_sphere, _nan_gradient_near_origin, "gradient"),
+], ids=["nan_trial", "accepted_minus_inf", "accepted_nan_gradient"])
+def test_nonfinite_during_run_reports_nonfinite(value, gradient, what):
+    # from (3, 1) the first trial lands on the origin; a NaN there used to
+    # be a rejected trial, and this run went on to feval_budget after
+    # 1,000,038 evaluations
+    f = ObjectiveFn("hole", 2, value, gradient, np.array([3.0, 1.0]))
+    rep = solve(f)
+    assert rep.status == STATUS_NONFINITE
+    assert rep.message == f"{what} not finite at iteration 1"
+    assert rep.iterations == 0
+    assert rep.nfe == 2
+    assert rep.final_f == 10.0
+
+
+def test_infinite_trial_value_is_a_rejected_trial():
+    # the first trial from (3, 1) lands on (0, 1), where f is +inf
+    def value(x):
+        return math.inf if x[0] < 0.5 else float((x - 1.0) @ (x - 1.0))
+
+    f = ObjectiveFn("wall", 2, value, lambda x: 2.0 * (x - 1.0),
+                    np.array([3.0, 1.0]))
+    rep = solve(f)
+    assert rep.status == STATUS_OK
+    assert rep.nfe > rep.iterations + 1
+
+
 def test_feval_budget_status():
     rep = solve(testfuns.rosenbrock2(), cfg=UncSolverConfig(max_fevals=2))
     assert rep.status == STATUS_FEVAL_BUDGET
