@@ -15,7 +15,6 @@ from .errors import (
     LineSearchFailure,
     NonDescentDirection,
     NonPositiveCurvature,
-    NumericalFailure,
     QtgradError,
     ZeroDenominator,
 )
@@ -32,7 +31,6 @@ from .termination3d import (
     gram_schmidt3,
     hmatrix_from_recurrence,
     largest_root_cubic,
-    largest_root_quartic,
     project_hessian,
     recurrence_scalars,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "LineSearchFailure",
     "NonDescentDirection",
     "NonPositiveCurvature",
-    "NumericalFailure",
     "ObjectiveFn",
     "QtgradError",
     "QuadSolverConfig",
@@ -72,7 +69,6 @@ __all__ = [
     "gram_schmidt3",
     "hmatrix_from_recurrence",
     "largest_root_cubic",
-    "largest_root_quartic",
     "project_hessian",
     "recurrence_scalars",
     "sd_stepsize",

@@ -112,6 +112,10 @@ class ExperimentSpec:
             for s in self.sets:
                 if s not in quadprob.SET_IDS:
                     raise InvalidSpec(f"unknown problem set {s}")
+        if self.experiment != "verify3d":
+            for e in self.epss:
+                if not 0.0 < e < math.inf:
+                    raise InvalidSpec(f"eps must lie in (0, inf), got {e}")
         if self.tau1 is not None and not 0.0 < self.tau1 <= 1.0:
             raise InvalidSpec("tau1 must lie in (0, 1]")
         if self.gamma is not None and self.gamma < 1.0:
@@ -450,6 +454,15 @@ def _parse_list(val, conv):
         raise InvalidSpec(f"cannot parse list value {val!r}")
 
 
+def _parse_scalar(key, val, conv):
+    if val is None:
+        return None
+    try:
+        return conv(val)
+    except ValueError:
+        raise InvalidSpec(f"cannot parse {key} value {val!r}")
+
+
 def _parse_bool(val):
     if isinstance(val, bool):
         return val
@@ -499,9 +512,9 @@ def resolve_spec(verb: str, args) -> ExperimentSpec:
         ns=_parse_list(merged["n"], int),
         kappas=_parse_list(merged["kappa"], float),
         epss=_parse_list(merged["eps"], float),
-        seeds=int(merged["seeds"]),
-        tau1=None if merged["tau1"] is None else float(merged["tau1"]),
-        gamma=None if merged["gamma"] is None else float(merged["gamma"]),
+        seeds=_parse_scalar("seeds", merged["seeds"], int),
+        tau1=_parse_scalar("tau1", merged["tau1"], float),
+        gamma=_parse_scalar("gamma", merged["gamma"], float),
         out=str(merged["out"]),
         trace=_parse_bool(merged["trace"]),
         zero_times=_parse_bool(merged["zero_times"]),

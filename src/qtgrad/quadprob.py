@@ -173,8 +173,8 @@ def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
         raise InvalidSpec("n must be at least 3")
     if set_id not in SET_IDS:
         raise InvalidSpec(f"unknown set id {set_id}")
-    if not kappa > 1.0:
-        raise InvalidSpec("kappa must exceed 1")
+    if not 1.0 < kappa < np.inf:
+        raise InvalidSpec("kappa must lie in (1, inf)")
     spec_rng = _stream(seed, _SPECTRUM_KEY)
     xstar_rng = _stream(seed, _XSTAR_KEY)
     v = _spectrum(set_id, n, kappa, spec_rng)
@@ -187,8 +187,8 @@ def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
 
 def verification_problem(kappa: float) -> QuadraticProblem:
     """The 3-d HALFFORM problem diag(1, kappa/2, kappa) with x* = 0."""
-    if not kappa > 1.0:
-        raise InvalidSpec("kappa must exceed 1")
+    if not 1.0 < kappa < np.inf:
+        raise InvalidSpec("kappa must lie in (1, inf)")
     v = np.array([1.0, kappa / 2.0, kappa])
     return QuadraticProblem(
         spectrum=v, x_star=np.zeros(3), form=Form.HALFFORM,

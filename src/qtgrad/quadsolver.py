@@ -10,8 +10,9 @@ Three entry points:
 * :func:`verify_3d_termination`: the fixed 8-step schedule on the 3-d
   verification problem that demonstrates finite termination numerically.
 
-The per-iteration work runs through :mod:`qtgrad.kernels`, one fused pass
-over the vectors per step.
+The per-iteration vector work is one :func:`qtgrad.kernels.quad_step`
+call, which moves x, refreshes the gradient and returns the three inner
+products the stepsize rule needs.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class QuadSolverConfig:
             raise ValueError("tau1 must lie in (0, 1]")
         if self.gamma < 1.0:
             raise ValueError("gamma must be at least 1")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must lie in (0, inf)")
 
 
 class _QuadRun:

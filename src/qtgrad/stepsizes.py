@@ -91,47 +91,6 @@ def sd_stepsize(g: np.ndarray, hess_g: np.ndarray) -> float:
     return float(g @ g) / den
 
 
-@dataclass(frozen=True)
-class BbqRatios:
-    """Coefficient ratios of the quadratic whose root gives the BBQ step."""
-
-    phi1_over_phi3: float
-    phi2_over_phi3: float
-    discriminant: float
-
-
-def bbq_ratios(
-    bb1_prev: float,
-    bb1_cur: float,
-    bb2_prev: float,
-    bb2_cur: float,
-    tol_den: float = 1e-12,
-) -> BbqRatios:
-    """Form the BBQ coefficient ratios from two consecutive BB pairs.
-
-    The two-dimensional quadratic-termination stepsize is the root of
-    phi1 - phi2 z + phi3 z^2 expressed through the last two BB1/BB2 values.
-    Raises Degenerate when the shared denominator is numerically zero, which
-    happens whenever consecutive BB1 values coincide (the two-point history
-    no longer determines two distinct curvatures).
-    """
-    for name, val in (
-        ("bb1_prev", bb1_prev),
-        ("bb1_cur", bb1_cur),
-        ("bb2_prev", bb2_prev),
-        ("bb2_cur", bb2_cur),
-    ):
-        if not math.isfinite(val) or val <= 0.0:
-            raise Degenerate(f"{name} = {val}")
-    scale = max(bb1_prev, bb1_cur)
-    den = bb2_prev * bb2_cur * (bb1_prev - bb1_cur)
-    if abs(bb1_prev - bb1_cur) <= tol_den * scale or den == 0.0:
-        raise Degenerate("consecutive bb1 values coincide")
-    r1 = (bb2_prev - bb2_cur) / den
-    r2 = (bb1_prev * bb2_prev - bb1_cur * bb2_cur) / den
-    return BbqRatios(r1, r2, r2 * r2 - 4.0 * r1)
-
-
 def bbq_stepsize(
     bb1_prev: float,
     bb1_cur: float,
@@ -141,15 +100,29 @@ def bbq_stepsize(
 ) -> float:
     """Two-dimensional quadratic-termination (BBQ) stepsize.
 
-    Computes 2 / (phi2/phi3 + sqrt((phi2/phi3)^2 - 4 phi1/phi3)), the
-    reciprocal of the larger root of the associated quadratic.  Raises
-    Degenerate when the ratios cannot be formed, the discriminant is
-    negative, or the result is not a positive finite number.
+    The stepsize is the reciprocal of the larger root of the quadratic
+    phi1 - phi2 z + phi3 z^2, whose coefficient ratios come from the last
+    two BB1/BB2 values: 2 / (phi2/phi3 + sqrt((phi2/phi3)^2 - 4 phi1/phi3)).
+    Raises Degenerate when an input is not a positive finite number, when
+    the shared denominator is numerically zero, which happens whenever
+    consecutive BB1 values coincide (the two-point history no longer
+    determines two distinct curvatures), when the discriminant is
+    negative, or when the result is not a positive finite number.
     """
-    ratios = bbq_ratios(bb1_prev, bb1_cur, bb2_prev, bb2_cur, tol_den)
-    if ratios.discriminant < 0.0:
-        raise Degenerate(f"discriminant = {ratios.discriminant}")
-    den = ratios.phi2_over_phi3 + math.sqrt(ratios.discriminant)
+    if not (0.0 < bb1_prev < math.inf and 0.0 < bb1_cur < math.inf
+            and 0.0 < bb2_prev < math.inf and 0.0 < bb2_cur < math.inf):
+        raise Degenerate(f"bbq inputs (bb1_prev, bb1_cur, bb2_prev, bb2_cur)"
+                         f" = {(bb1_prev, bb1_cur, bb2_prev, bb2_cur)}")
+    scale = max(bb1_prev, bb1_cur)
+    den = bb2_prev * bb2_cur * (bb1_prev - bb1_cur)
+    if abs(bb1_prev - bb1_cur) <= tol_den * scale or den == 0.0:
+        raise Degenerate("consecutive bb1 values coincide")
+    r1 = (bb2_prev - bb2_cur) / den                       # phi1 / phi3
+    r2 = (bb1_prev * bb2_prev - bb1_cur * bb2_cur) / den  # phi2 / phi3
+    disc = r2 * r2 - 4.0 * r1
+    if disc < 0.0:
+        raise Degenerate(f"discriminant = {disc}")
+    den = r2 + math.sqrt(disc)
     if den <= 0.0:
         raise Degenerate(f"root denominator = {den}")
     step = 2.0 / den

@@ -139,6 +139,8 @@ class UncSolverConfig:
             raise ValueError("delta and eta must lie in (0, 1)")
         if self.gamma < 1.0:
             raise ValueError("gamma must be at least 1")
+        if not 0.0 < self.eps_inf < math.inf:
+            raise ValueError("eps_inf must lie in (0, inf)")
 
 
 def _norm_inf(a: np.ndarray) -> float:

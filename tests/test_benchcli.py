@@ -127,6 +127,10 @@ def test_print_config_roundtrips(tmp_path, capsys):
     dict(sets=(9,)),
     dict(tau1=0.0),
     dict(gamma=0.5),
+    dict(epss=(0.0,)),
+    dict(epss=(-1.0,)),
+    dict(epss=(1e-8, math.nan)),
+    dict(experiment="uncbench", methods=("alg1",), epss=(math.inf,)),
 ])
 def test_spec_validation_rejects(tmp_path, kw):
     with pytest.raises(InvalidSpec):
@@ -344,5 +348,15 @@ def test_main_runs_quadbench(tmp_path, capsys):
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["quadbench", "--set", "9"]) == 2
     assert "error" in capsys.readouterr().err
+    assert main(["uncbench", "--eps", "nan"]) == 2
+    assert "eps" in capsys.readouterr().err
     assert main(["profile", str(tmp_path / "missing.csv")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("line", ["seeds=abc", "tau1=abc", "gamma=abc"])
+def test_main_rejects_bad_numbers_in_config(tmp_path, capsys, line):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["quadbench", "--config", str(cfg)]) == 2
+    assert "qtgrad: error:" in capsys.readouterr().err

@@ -1,38 +1,29 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from qtgrad import _quadkernel_py, kernels
-
-try:
-    from qtgrad import _quadkernel
-except ImportError:
-    _quadkernel = None
-
-needs_ext = pytest.mark.skipif(_quadkernel is None,
-                               reason="compiled kernel not built")
+from qtgrad import kernels
 
 
-def _random_case(seed, n=64):
+def _random_case(seed, gscale, n=64):
     rng = np.random.default_rng(seed)
     v = rng.uniform(0.5, 100.0, size=n)
     xs = rng.uniform(-10.0, 10.0, size=n)
     x = rng.uniform(-10.0, 10.0, size=n)
-    g = 2.0 * v * (x - xs)
+    g = gscale * v * (x - xs)
     return v, xs, x, g
 
 
-def test_python_kernel_matches_dense_formulas():
-    v, xs, x, g = _random_case(0)
+# gscale 2.0 is the TESTQP form, 1.0 the HALFFORM form, which skips the
+# scaling multiply.
+@pytest.mark.parametrize("gscale", [1.0, 2.0])
+def test_kernel_matches_dense_formulas(gscale):
+    v, xs, x, g = _random_case(0, gscale)
     alpha = 0.01
     x1 = x.copy()
     g_new = np.empty_like(g)
-    gy, yy, gg = _quadkernel_py.quad_step(v, xs, x1, g, g_new, alpha, 2.0)
+    gy, yy, gg = kernels.quad_step(v, xs, x1, g, g_new, alpha, gscale)
     x_ref = x - alpha * g
-    g_ref = 2.0 * v * (x_ref - xs)
+    g_ref = gscale * v * (x_ref - xs)
     y_ref = g_ref - g
     np.testing.assert_allclose(x1, x_ref, rtol=1e-15)
     np.testing.assert_allclose(g_new, g_ref, rtol=1e-13)
@@ -41,53 +32,17 @@ def test_python_kernel_matches_dense_formulas():
     assert gg == pytest.approx(float(g_ref @ g_ref), rel=1e-12)
 
 
-def test_python_kernel_value_and_gradient():
-    v, xs, x, _ = _random_case(1)
+@pytest.mark.parametrize("gscale", [1.0, 2.0])
+def test_kernel_value_and_gradient(gscale):
+    v, xs, x, _ = _random_case(1, gscale)
     out = np.empty_like(x)
-    gg = _quadkernel_py.quad_gradient(v, xs, x, 2.0, out)
-    np.testing.assert_allclose(out, 2.0 * v * (x - xs), rtol=1e-14)
+    gg = kernels.quad_gradient(v, xs, x, gscale, out)
+    np.testing.assert_allclose(out, gscale * v * (x - xs), rtol=1e-14)
     assert gg == pytest.approx(float(out @ out), rel=1e-12)
-    assert _quadkernel_py.quad_value(v, xs, x, 1.0) == pytest.approx(
-        float((x - xs) @ (v * (x - xs))), rel=1e-13)
-
-
-@needs_ext
-@pytest.mark.parametrize("seed", range(5))
-def test_backends_agree(seed):
-    v, xs, x, g = _random_case(seed, n=137)
-    alpha = 0.003 * (seed + 1)
-    xa, ga = x.copy(), g.copy()
-    xb, gb = x.copy(), g.copy()
-    na, nb = np.empty_like(g), np.empty_like(g)
-    ra = _quadkernel.quad_step(v, xs, xa, ga, na, alpha, 2.0)
-    rb = _quadkernel_py.quad_step(v, xs, xb, gb, nb, alpha, 2.0)
-    np.testing.assert_allclose(xa, xb, rtol=1e-15)
-    np.testing.assert_allclose(na, nb, rtol=1e-13)
-    for a, b in zip(ra, rb):
-        assert a == pytest.approx(b, rel=1e-12)
-    va = _quadkernel.quad_value(v, xs, xa, 0.5)
-    vb = _quadkernel_py.quad_value(v, xs, xb, 0.5)
-    assert va == pytest.approx(vb, rel=1e-12)
+    vscale = 1.0 if gscale == 2.0 else 0.5
+    assert kernels.quad_value(v, xs, x, vscale) == pytest.approx(
+        vscale * float((x - xs) @ (v * (x - xs))), rel=1e-13)
 
 
 def test_backend_name_reports_known_value():
-    assert kernels.backend_name() in ("cython", "numpy")
-
-
-def test_env_var_forces_python_backend():
-    env = dict(os.environ, QTGRAD_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from qtgrad import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-@needs_ext
-def test_default_backend_is_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "QTGRAD_PURE_PYTHON"}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from qtgrad import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "cython"
+    assert kernels.backend_name() == "numpy"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,17 @@ def test_generate_is_deterministic_and_streams_are_split():
     (1, 1e6, 1e4, 0),       # n must be an int, not a float
     (1, 20.0, 100.0, 0),    # ... even an integral one
     (1, True, 100.0, 0),    # ... or a bool
+    (1, 10, math.inf, 0),   # kappa must be finite
 ])
 def test_generate_rejects_bad_specs(args):
     with pytest.raises(InvalidSpec):
         quadprob.generate(*args)
+
+
+@pytest.mark.parametrize("kappa", [1.0, math.inf])
+def test_verification_problem_rejects_bad_kappa(kappa):
+    with pytest.raises(InvalidSpec):
+        quadprob.verification_problem(kappa)
 
 
 def test_problem_validation():

@@ -272,6 +272,9 @@ def test_config_rejects_bad_knobs():
         QuadSolverConfig(tau1=0.0)
     with pytest.raises(ValueError):
         QuadSolverConfig(gamma=0.5)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadSolverConfig(eps=eps)
 
 
 def test_verify3d_special_steps_in_trace():

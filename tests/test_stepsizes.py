@@ -8,7 +8,6 @@ from qtgrad.stepsizes import (
     StepPair,
     bb1,
     bb2,
-    bbq_ratios,
     bbq_stepsize,
     day_stepsize,
     sd_stepsize,
@@ -68,9 +67,7 @@ def test_day_on_exact_quadratic_pair():
 
 
 def test_bbq_ratio_hand_case():
-    r = bbq_ratios(1.0, 0.5, 0.8, 0.4)
-    assert r.phi1_over_phi3 == pytest.approx(2.5, rel=1e-12)
-    assert r.phi2_over_phi3 == pytest.approx(3.75, rel=1e-12)
+    # phi1/phi3 = 2.5, phi2/phi3 = 3.75
     alpha = bbq_stepsize(1.0, 0.5, 0.8, 0.4)
     assert alpha == pytest.approx(0.34688711258507254, rel=1e-12)
 
@@ -93,8 +90,11 @@ def test_bbq_degenerate_on_negative_discriminant():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.3])
 def test_bbq_degenerate_on_bad_inputs(bad):
-    with pytest.raises(Degenerate):
-        bbq_stepsize(bad, 0.25, 0.5, 0.2)
+    for slot in range(4):
+        args = [1.0, 0.25, 0.5, 0.2]
+        args[slot] = bad
+        with pytest.raises(Degenerate):
+            bbq_stepsize(*args)
 
 
 def test_bbq_recovers_largest_eigenvalue_in_2d():

@@ -16,7 +16,6 @@ from qtgrad.termination3d import (
     gram_schmidt3,
     hmatrix_from_recurrence,
     largest_root_cubic,
-    largest_root_quartic,
     next_stepsize,
     project_hessian,
     recurrence_scalars,
@@ -106,9 +105,7 @@ def test_hmatrix_caches_invariants():
     h = HMatrix(m)
     assert h.trace == 7.0
     assert h.trace_sq == 21.0
-    assert h.trace_cu == 73.0
     assert h.det == pytest.approx(8.0)
-    assert h.dim == 3
 
 
 # ----------------------------------------------------------- root solvers
@@ -157,39 +154,10 @@ def test_cubic_near_double_eigenvalue():
     assert root == pytest.approx(4.0 + 1e-9, rel=1e-7)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_quartic_matches_eigensolvers(seed):
-    rng = np.random.default_rng(1000 + seed)
-    A = random_symmetric(rng, 4)
-    root = largest_root_quartic(HMatrix(A))
-    assert root == pytest.approx(lapack_largest_eig(A), rel=1e-10)
-
-
-# An m-fold largest eigenvalue shifts the characteristic-polynomial root
-# by roughly eps**(1/m), so the achievable accuracy degrades with the
-# multiplicity of the top eigenvalue (not of the others).
-@pytest.mark.parametrize("spectrum,rel", [
-    ([1.0, 1.0, 1.0, 1.0], 1e-10),
-    ([1.0, 2.0, 7.0, 7.0], 1e-6),
-    ([3.0, 7.0, 7.0, 7.0], 1e-3),
-    ([2.0, 2.0, 2.0, 9.0], 1e-10),
-    ([-2.0, -1.0, 0.0, 5.0], 1e-10),
-])
-def test_quartic_multiplicities(spectrum, rel):
-    rng = np.random.default_rng(7)
-    A = random_symmetric(rng, 4, spectrum=np.array(spectrum))
-    root = largest_root_quartic(HMatrix(A))
-    assert root == pytest.approx(max(spectrum), rel=rel, abs=1e-12)
-
-
-def test_quartic_rejects_3x3():
-    with pytest.raises(ValueError):
-        largest_root_quartic(HMatrix(np.eye(3)))
-
-
 def test_cubic_rejects_4x4():
+    # HMatrix holds 3x3 input only, so no 4x4 reaches the cubic solver
     with pytest.raises(ValueError):
-        largest_root_cubic(HMatrix(np.eye(4)))
+        HMatrix(np.eye(4))
 
 
 # ------------------------------------------------------ stepsize routes

@@ -248,6 +248,9 @@ def test_config_rejects_bad_knobs():
         UncSolverConfig(eta=1.0)
     with pytest.raises(ValueError):
         UncSolverConfig(gamma=0.99)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            UncSolverConfig(eps_inf=eps)
 
 
 def _exact_gnorm_sq_along(f, x0, rows):
