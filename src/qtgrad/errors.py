@@ -35,6 +35,10 @@ class LinearDependence(Degenerate):
     """Gram-Schmidt input vectors are numerically dependent."""
 
 
+class NumericalFailure(QtgradError):
+    """The quartic root finder failed its bracket or iteration budget."""
+
+
 class NonDescentDirection(QtgradError):
     """Line search was given a direction with g'd >= 0."""
 

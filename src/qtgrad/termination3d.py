@@ -15,7 +15,9 @@ On a quadratic with exact history both routes give the same matrix up to
 roundoff.  The recurrence route runs in plain floats on the five entries
 of its tridiagonal H; :class:`HMatrix` serves outside input, the direct
 route and inspection.  Both share one solver for the largest root, the
-trigonometric closed form for cubic roots.
+trigonometric closed form for cubic roots.  :func:`largest_root_quartic`
+solves a symmetric 4x4 by bisection on its characteristic polynomial; no
+solver takes a four-dimensional step.
 """
 
 from __future__ import annotations
@@ -28,9 +30,22 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stepsizes
-from .errors import Degenerate, LinearDependence
+from .errors import Degenerate, LinearDependence, NumericalFailure
 
 _SYM_RTOL = 1e-12
+
+
+def _symmetric(entries, dim: int) -> np.ndarray:
+    """``entries`` as a finite symmetric dim x dim float array, else ValueError."""
+    a = np.asarray(entries, dtype=float)
+    if a.shape != (dim, dim):
+        raise ValueError(f"expected {dim}x{dim}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries are not finite")
+    scale = float(np.abs(a).max())
+    if not np.allclose(a, a.T, rtol=_SYM_RTOL, atol=_SYM_RTOL * max(scale, 1.0)):
+        raise ValueError("entries are not symmetric")
+    return a
 
 
 @dataclass(frozen=True)
@@ -47,14 +62,7 @@ class HMatrix:
     det: float = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.shape != (3, 3):
-            raise ValueError(f"expected 3x3, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries are not finite")
-        scale = float(np.abs(a).max())
-        if not np.allclose(a, a.T, rtol=_SYM_RTOL, atol=_SYM_RTOL * max(scale, 1.0)):
-            raise ValueError("entries are not symmetric")
+        a = _symmetric(self.entries, 3)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "trace", float(np.trace(a)))
         object.__setattr__(self, "trace_sq", float(np.trace(a @ a)))
@@ -217,6 +225,59 @@ def largest_root_cubic(h: HMatrix, p_tol: float = 1e-12) -> CubicSolve:
     Raises Degenerate when the solve fails or the root is not positive.
     """
     return CubicSolve(*_largest_root(h.trace, h.trace_sq, h.det, p_tol))
+
+
+def largest_root_quartic(entries, max_steps: int = 200,
+                         rtol: float = 1e-13) -> float:
+    """Largest eigenvalue of a symmetric 4x4 via safeguarded bisection.
+
+    No solver calls this; it is the 4x4 counterpart of
+    :func:`largest_root_cubic` for outside input.  Works on the
+    characteristic polynomial chi written through tr A, tr(A^2), tr(A^3)
+    and det A.  The predicate "chi and its first three derivatives are
+    all nonnegative at z" holds exactly for z >= lambda_max and nowhere
+    below it, and stays sharp at multiple eigenvalues because whichever
+    derivative has a simple root there flips sign cleanly.  Bisection
+    therefore needs no eigen-decomposition and no polishing.
+    """
+    a = _symmetric(entries, 4)
+    sq = a @ a
+    tr, tr2, tr3 = float(np.trace(a)), float(np.trace(sq)), float(np.trace(sq @ a))
+    e1 = tr
+    e2 = (tr * tr - tr2) / 2.0
+    e3 = (tr**3 + 2.0 * tr3 - 3.0 * tr * tr2) / 6.0
+    e4 = float(np.linalg.det(a))
+
+    def at_or_above(z: float) -> bool:
+        chi = (((z - e1) * z + e2) * z - e3) * z + e4
+        d1 = ((4.0 * z - 3.0 * e1) * z + 2.0 * e2) * z - e3
+        d2 = (12.0 * z - 6.0 * e1) * z + 2.0 * e2
+        d3 = 24.0 * z - 6.0 * e1
+        return chi >= 0.0 and d1 >= 0.0 and d2 >= 0.0 and d3 >= 0.0
+
+    diag = np.diag(a)
+    radii = np.abs(a).sum(axis=1) - np.abs(diag)
+    lo = float(np.min(diag - radii))
+    hi = float(np.max(diag + radii))
+    if at_or_above(lo):
+        return lo
+    if hi <= lo:
+        return hi
+    if not at_or_above(hi):
+        hi += rtol * max(1.0, abs(hi))
+        if not at_or_above(hi):
+            raise NumericalFailure("Gershgorin bound fails the root predicate")
+    steps = 0
+    while hi - lo > rtol * max(1.0, abs(hi)):
+        steps += 1
+        if steps > max_steps:
+            raise NumericalFailure("quartic bisection did not converge")
+        mid = 0.5 * (lo + hi)
+        if at_or_above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,

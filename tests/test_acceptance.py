@@ -23,6 +23,7 @@ from qtgrad.termination3d import (
     gram_schmidt3,
     hmatrix_from_recurrence,
     largest_root_cubic,
+    largest_root_quartic,
     project_hessian,
     recurrence_scalars,
 )
@@ -125,7 +126,7 @@ def test_construction_equivalence():
 def test_eigen_solvers_vs_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
-    worst3 = 0.0
+    worst3 = worst4 = 0.0
     bound_ok = True
     for _ in range(1000):
         lam = rng.uniform(0.05, 50.0, 3)
@@ -138,10 +139,20 @@ def test_eigen_solvers_vs_oracle():
         diag_cap = float(np.min(1.0 / np.diag(h.entries)))
         if not (1.0 / h.trace - 1e-12 <= alpha <= diag_cap + 1e-12):
             bound_ok = False
+    for _ in range(500):
+        lam = rng.uniform(-20.0, 50.0, 4)
+        while lam.max() < 1.0:
+            lam = rng.uniform(-20.0, 50.0, 4)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = (q * lam) @ q.T
+        root = largest_root_quartic(a)
+        oracle = bisect_largest_eig(a)
+        worst4 = max(worst4, abs(root - oracle) / abs(oracle))
     elapsed = time.perf_counter() - t0
-    print(f"  cubic worst rel {worst3:.3e}")
+    print(f"  cubic worst rel {worst3:.3e}, quartic worst rel {worst4:.3e}")
     checks = {
         "cubic within 1e-10 of oracle": worst3 <= 1e-10,
+        "quartic within 1e-10 of oracle": worst4 <= 1e-10,
         "1/tr <= alpha <= min 1/H_ii with 1e-12 slack": bound_ok,
         "runtime < 5 s": elapsed < 5.0,
     }

@@ -16,6 +16,7 @@ from qtgrad.termination3d import (
     gram_schmidt3,
     hmatrix_from_recurrence,
     largest_root_cubic,
+    largest_root_quartic,
     next_stepsize,
     project_hessian,
     recurrence_scalars,
@@ -152,6 +153,36 @@ def test_cubic_near_double_eigenvalue():
     A = random_symmetric(rng, 3, spectrum=np.array([1.0, 4.0, 4.0 + 1e-9]))
     root = largest_root_cubic(HMatrix(A)).largest_root
     assert root == pytest.approx(4.0 + 1e-9, rel=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_quartic_matches_eigensolvers(seed):
+    rng = np.random.default_rng(1000 + seed)
+    A = random_symmetric(rng, 4)
+    root = largest_root_quartic(A)
+    assert root == pytest.approx(lapack_largest_eig(A), rel=1e-10)
+
+
+# An m-fold largest eigenvalue shifts the characteristic-polynomial root
+# by roughly eps**(1/m), so the achievable accuracy degrades with the
+# multiplicity of the top eigenvalue (not of the others).
+@pytest.mark.parametrize("spectrum,rel", [
+    ([1.0, 1.0, 1.0, 1.0], 1e-10),
+    ([1.0, 2.0, 7.0, 7.0], 1e-6),
+    ([3.0, 7.0, 7.0, 7.0], 1e-3),
+    ([2.0, 2.0, 2.0, 9.0], 1e-10),
+    ([-2.0, -1.0, 0.0, 5.0], 1e-10),
+])
+def test_quartic_multiplicities(spectrum, rel):
+    rng = np.random.default_rng(7)
+    A = random_symmetric(rng, 4, spectrum=np.array(spectrum))
+    root = largest_root_quartic(A)
+    assert root == pytest.approx(max(spectrum), rel=rel, abs=1e-12)
+
+
+def test_quartic_rejects_3x3():
+    with pytest.raises(ValueError):
+        largest_root_quartic(np.eye(3))
 
 
 def test_cubic_rejects_4x4():
