@@ -12,6 +12,10 @@ Four verbs:
 * ``profile``: Dolan-More performance-profile curves from a previously
   written run table.
 
+``verify3d`` and ``uncbench`` reject values they would not use (set, n,
+eps, tau1 and gamma for the first; set, n, kappa and more than one seed
+for the second, whose test functions each have one fixed start).
+
 The run verbs write ``<out>_runs.csv`` (one row per run) and
 ``<out>_agg.csv`` (per-cell means over solved runs); ``--trace`` adds
 ``<out>_trace.csv`` with one row per iteration, intended for small
@@ -70,6 +74,18 @@ TRACE_COLUMNS = ("method", "set", "n", "kappa", "eps", "seed", "k",
                  "branch", "stepsize", "gnorm", "fval", "bb1", "bb2",
                  "tau")
 
+# Values a verb does not use, as (key, spec field, the one value
+# allowed): verify3d runs one 3-d problem on a fixed schedule with no
+# switching threshold, and each uncbench test function has its own
+# dimension and no kappa.
+_UNUSED = {
+    "verify3d": (("set", "sets", (0,)), ("n", "ns", (3,)),
+                 ("eps", "epss", (0.0,)), ("tau1", "tau1", None),
+                 ("gamma", "gamma", None)),
+    "uncbench": (("set", "sets", (0,)), ("n", "ns", (0,)),
+                 ("kappa", "kappas", (0.0,))),
+}
+
 # quadbench fixes the problem instance and varies the starting point, so
 # the seed column is the replicate index of the start.
 PROBLEM_SEED = 0
@@ -116,6 +132,12 @@ class ExperimentSpec:
             for e in self.epss:
                 if not 0.0 < e < math.inf:
                     raise InvalidSpec(f"eps must lie in (0, inf), got {e}")
+        for key, field, allowed in _UNUSED.get(self.experiment, ()):
+            if getattr(self, field) != allowed:
+                raise InvalidSpec(f"{self.experiment} does not use {key}")
+        if self.experiment == "uncbench" and self.seeds > 1:
+            raise InvalidSpec("uncbench runs one seed: each test function "
+                              "has one fixed start")
         if self.tau1 is not None and not 0.0 < self.tau1 <= 1.0:
             raise InvalidSpec("tau1 must lie in (0, 1]")
         if self.gamma is not None and self.gamma < 1.0:
@@ -305,6 +327,9 @@ def run_experiment(spec: ExperimentSpec):
     output: rows are sorted before writing and each cell is a pure
     function of its parameters.
     """
+    out_dir = os.path.dirname(spec.out) or "."
+    if not os.path.isdir(out_dir):
+        raise InvalidSpec(f"output directory {out_dir!r} does not exist")
     cells = _cells(spec)
     workers = _worker_count()
     if workers > 1:

@@ -12,7 +12,9 @@ Three entry points:
 
 The per-iteration vector work is one :func:`qtgrad.kernels.quad_step`
 call, which moves x, refreshes the gradient and returns the three inner
-products the stepsize rule needs.
+products the stepsize rule needs.  Each run allocates the kernel's
+scratch vector y once, min(n, ``kernels.BLOCK``) elements, and passes it
+to every call, so the kernel allocates nothing per iteration.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ class _QuadRun:
             raise InvalidInput("x0 has entries that are not finite")
         self.g = np.empty_like(self.x)
         self.g_next = np.empty_like(self.x)
+        self.y = np.empty(min(self.x.shape[0], kernels.BLOCK))
         self.gg = kernels.quad_gradient(self.v, self.xs, self.x, self.gscale, self.g)
         self.gnorm_start = math.sqrt(self.gg)
         self.hist = GradientHistory()
@@ -100,7 +103,8 @@ class _QuadRun:
         gg_old = self.gg
         self.hist.set_stepsize(alpha)
         gy, yy, gg_new = kernels.quad_step(
-            self.v, self.xs, self.x, self.g, self.g_next, alpha, self.gscale)
+            self.v, self.xs, self.x, self.g, self.g_next, alpha, self.gscale,
+            self.y)
         self.g, self.g_next = self.g_next, self.g
         self.gg = gg_new
         self.k += 1

@@ -137,6 +137,41 @@ def test_spec_validation_rejects(tmp_path, kw):
         spec_for(tmp_path, **kw)
 
 
+UNC_SPEC = dict(experiment="uncbench", methods=("alg1",), sets=(0,),
+                ns=(0,), kappas=(0.0,), epss=(1e-6,), seeds=1)
+V3D_SPEC = dict(experiment="verify3d", methods=("day3d",), sets=(0,),
+                ns=(3,), kappas=(100.0,), epss=(0.0,), seeds=2)
+
+
+@pytest.mark.parametrize("base, kw", [
+    (UNC_SPEC, dict(kappas=(7.0,))),
+    (UNC_SPEC, dict(kappas=(0.0, 7.0))),
+    (UNC_SPEC, dict(seeds=2)),
+    (UNC_SPEC, dict(sets=(2,))),
+    (UNC_SPEC, dict(ns=(50,))),
+    (V3D_SPEC, dict(epss=(5.0,))),
+    (V3D_SPEC, dict(epss=(0.0, 1e-6))),
+    (V3D_SPEC, dict(sets=(2,))),
+    (V3D_SPEC, dict(ns=(50,))),
+    (V3D_SPEC, dict(tau1=0.3)),
+    (V3D_SPEC, dict(gamma=2.0)),
+], ids=["unc-kappa", "unc-kappas", "unc-seeds", "unc-set", "unc-n",
+        "v3d-eps", "v3d-epss", "v3d-set", "v3d-n", "v3d-tau1", "v3d-gamma"])
+def test_spec_rejects_values_the_verb_ignores(tmp_path, base, kw):
+    spec_for(tmp_path, **base)
+    with pytest.raises(InvalidSpec):
+        spec_for(tmp_path, **{**base, **kw})
+
+
+@pytest.mark.parametrize("verb", ["verify3d", "quadbench", "uncbench"])
+def test_default_config_roundtrips_for_every_verb(tmp_path, capsys, verb):
+    assert main([verb, "--print-config"]) == 0
+    cfg = tmp_path / "printed.cfg"
+    cfg.write_text(capsys.readouterr().out)
+    spec = resolve_spec(verb, make_args(config=str(cfg)))
+    assert spec == resolve_spec(verb, make_args())
+
+
 def test_placeholder_set_allowed_off_quadbench(tmp_path):
     spec = spec_for(tmp_path, experiment="verify3d", methods=("day3d",),
                     sets=(0,), ns=(3,), epss=(0.0,))
@@ -352,6 +387,45 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
     assert main(["profile", str(tmp_path / "missing.csv")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncbench", "--methods", "alg1", "--eps", "1e-6", "--seeds", "2",
+     "--kappa", "7"],
+    ["uncbench", "--seeds", "2"],
+    ["uncbench", "--kappa", "7"],
+    ["verify3d", "--eps", "5"],
+    ["verify3d", "--preset", "table3-set1-new"],
+])
+def test_main_rejects_flags_the_verb_ignores(tmp_path, capsys, argv):
+    out = tmp_path / "ignored"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "qtgrad: error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["verify3d", "uncbench"])
+@pytest.mark.parametrize("line", ["set=2", "n=50"])
+def test_main_rejects_config_grid_values_the_verb_ignores(tmp_path, capsys,
+                                                         verb, line):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(line + "\n")
+    assert main([verb, "--config", str(cfg),
+                 "--out", str(tmp_path / "ignored")]) == 2
+    assert "does not use" in capsys.readouterr().err
+
+
+def test_missing_output_directory_fails_before_any_cell(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_cells(cell):
+        raise AssertionError("a cell ran before the output check")
+
+    monkeypatch.setattr(benchcli, "_run_cell", no_cells)
+    out = str(tmp_path / "missing" / "u")
+    with pytest.raises(InvalidSpec, match="missing"):
+        run_experiment(spec_for(tmp_path, out=out))
+    assert main(["uncbench", "--out", out]) == 2
+    assert "does not exist" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["seeds=abc", "tau1=abc", "gamma=abc"])

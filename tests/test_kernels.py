@@ -46,3 +46,46 @@ def test_kernel_value_and_gradient(gscale):
 
 def test_backend_name_reports_known_value():
     assert kernels.backend_name() == "numpy"
+
+
+def _whole_array_step(v, xs, x, g, alpha, gscale):
+    """quad_step's arithmetic on the whole arrays, with fresh temporaries."""
+    x_ref = x - alpha * g
+    g_ref = (x_ref - xs) * v
+    if gscale != 1.0:
+        g_ref = g_ref * gscale
+    y_ref = g_ref - g
+    return (x_ref, g_ref,
+            (float(g @ y_ref), float(y_ref @ y_ref), float(g_ref @ g_ref)))
+
+
+BLOCK_SIZES = [kernels.BLOCK, kernels.BLOCK + 1, 2 * kernels.BLOCK + 7]
+
+
+@pytest.mark.parametrize("gscale", [1.0, 2.0])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_step_matches_whole_array_formula(n, gscale):
+    v, xs, x, g = _random_case(n, gscale, n=n)
+    alpha = 0.01
+    x_ref, g_ref, dots_ref = _whole_array_step(v, xs, x, g, alpha, gscale)
+    g_new = np.empty_like(g)
+    dots = kernels.quad_step(v, xs, x, g, g_new, alpha, gscale)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(g_new, g_ref)
+    assert dots == pytest.approx(dots_ref, rel=1e-12)
+    if n <= kernels.BLOCK:
+        assert dots == dots_ref
+
+
+@pytest.mark.parametrize("gscale", [1.0, 2.0])
+@pytest.mark.parametrize("n", [64] + BLOCK_SIZES)
+def test_step_with_scratch_matches_step_without(n, gscale):
+    v, xs, x, g = _random_case(n, gscale, n=n)
+    x_own, g_own = x.copy(), np.empty_like(g)
+    dots_own = kernels.quad_step(v, xs, x_own, g, g_own, 0.01, gscale)
+    y = np.empty(min(n, kernels.BLOCK))
+    g_new = np.empty_like(g)
+    dots = kernels.quad_step(v, xs, x, g, g_new, 0.01, gscale, y)
+    assert dots == dots_own
+    np.testing.assert_array_equal(x, x_own)
+    np.testing.assert_array_equal(g_new, g_own)
