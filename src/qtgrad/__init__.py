@@ -23,17 +23,7 @@ from .quadprob import QuadraticProblem, generate, starting_point, verification_p
 from .quadsolver import QuadSolverConfig, solve_bb, solve_new, verify_3d_termination
 from .report import RunReport, TraceRecord
 from .stepsizes import StepPair, bb1, bb2, bbq_stepsize, day_stepsize, sd_stepsize
-from .termination3d import (
-    GradientHistory,
-    HMatrix,
-    alpha_new_bb,
-    alpha_new_direct,
-    gram_schmidt3,
-    hmatrix_from_recurrence,
-    largest_root_cubic,
-    project_hessian,
-    recurrence_scalars,
-)
+from .termination3d import GradientHistory, alpha_new_bb, alpha_new_direct, gram_schmidt3
 from .uncsolver import ObjectiveFn, UncSolverConfig, dai_fletcher_search, solve
 
 __version__ = "0.1.0"
@@ -41,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Degenerate",
     "GradientHistory",
-    "HMatrix",
     "InvalidInput",
     "InvalidSpec",
     "LinearDependence",
@@ -67,10 +56,6 @@ __all__ = [
     "dai_fletcher_search",
     "generate",
     "gram_schmidt3",
-    "hmatrix_from_recurrence",
-    "largest_root_cubic",
-    "project_hessian",
-    "recurrence_scalars",
     "sd_stepsize",
     "solve",
     "solve_bb",

@@ -423,12 +423,18 @@ def _read_runs(path):
         rows = []
         for raw in reader:
             row = dict(raw)
-            for c in ("n", "seed", "iters", "nfe", "ngrad"):
-                row[c] = int(float(row[c]))
-            for c in ("kappa", "eps", "final_gnorm", "time_ms"):
-                row[c] = float(row[c])
-            val = row.get("final_f")
-            row["final_f"] = float(val) if val not in (None, "") else math.nan
+            # a truncated row holds None, which float() rejects by TypeError
+            try:
+                for c in ("n", "seed", "iters", "nfe", "ngrad"):
+                    row[c] = int(float(row[c]))
+                for c in ("kappa", "eps", "final_gnorm", "time_ms"):
+                    row[c] = float(row[c])
+                c = "final_f"
+                val = row.get(c)
+                row[c] = float(val) if val not in (None, "") else math.nan
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidInput(f"{path}:{reader.line_num}: column {c}"
+                                   f" holds {row.get(c)!r}") from None
             rows.append(row)
     if not rows:
         raise InvalidInput(f"{path}: no data rows")

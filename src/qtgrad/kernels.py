@@ -1,7 +1,8 @@
 """Vector kernels for the quadratic benchmark inner loop, in numpy.
 
-All three functions mutate their output arrays in place and return
-scalars only.  :func:`quad_step` allocates no n-sized temporary: its one
+All three functions return scalars only; :func:`quad_step` and
+:func:`quad_gradient` write their vector results into arrays the caller
+passes.  :func:`quad_step` allocates no n-sized temporary: its one
 intermediate vector lives in a scratch array of at most ``BLOCK``
 elements, which the solver allocates once per run.
 
@@ -73,7 +74,14 @@ def quad_gradient(v, xstar, x, gscale, out):
     return float(out @ out)
 
 
-def quad_value(v, xstar, x, vscale):
-    """Objective value at x."""
-    d = x - xstar
+def quad_value(v, xstar, x, vscale, d=None):
+    """Objective value at x.
+
+    ``d``, when given, is an n-sized buffer that receives x - xstar, so
+    that v * d is the only n-sized temporary.
+    """
+    if d is None:
+        d = x - xstar
+    else:
+        np.subtract(x, xstar, out=d)
     return vscale * float(d @ (v * d))

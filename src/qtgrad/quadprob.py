@@ -106,7 +106,9 @@ def gradient(p: QuadraticProblem, x: np.ndarray) -> np.ndarray:
     return p.grad_scale * (p.spectrum * d)
 
 def hess_vec(p: QuadraticProblem, d: np.ndarray) -> np.ndarray:
-    return p.grad_scale * (p.spectrum * np.asarray(d, dtype=float))
+    out = p.spectrum * np.asarray(d, dtype=float)
+    out *= p.grad_scale     # in place: one n-sized temporary, not two
+    return out
 
 
 def _stream(seed: int, key: tuple) -> np.random.Generator:

@@ -12,9 +12,13 @@ Three entry points:
 
 The per-iteration vector work is one :func:`qtgrad.kernels.quad_step`
 call, which moves x, refreshes the gradient and returns the three inner
-products the stepsize rule needs.  Each run allocates the kernel's
-scratch vector y once, min(n, ``kernels.BLOCK``) elements, and passes it
-to every call, so the kernel allocates nothing per iteration.
+products the stepsize rule needs; everything else in the loop is scalar
+arithmetic on earlier stepsizes and gradient norms.  Each run allocates
+its vectors once: x, the gradient pair g and g_next, which swap roles
+every step, and the kernel's scratch vector y of min(n,
+``kernels.BLOCK``) elements.  The kernel allocates nothing per
+iteration, and the objective value, taken at the end and in traced runs,
+writes x - x* into the idle g_next.
 """
 
 from __future__ import annotations
@@ -43,18 +47,20 @@ from .termination3d import GradientHistory, alpha_new_direct, gram_schmidt3, nex
 class QuadSolverConfig:
     """Knobs for the quadratic solvers.
 
-    ``eps`` is the relative gradient-norm reduction target, the run stops
-    at ||g_k|| <= eps ||g_1||.  ``use_new_step`` switches the short branch
+    ``tau1`` is the starting threshold of the adaptive rule and ``gamma``
+    its growth and shrink factor.  ``eps`` is the relative gradient-norm
+    reduction target, the run stops at ||g_k|| <= eps ||g_1||, or after
+    ``max_iter`` iterations.  ``use_new_step`` switches the short branch
     of solve_new between the three-dimensional stepsize (True) and the
     BBQ stepsize alone (False), which gives the BBQ comparison method.
+    ``keep_trace`` records every iteration.  The stepsize tolerances are
+    the constants ``stepsizes.TOL_DEN`` and ``termination3d.TOL_DEP``.
     """
 
     tau1: float = 0.5
     gamma: float = 1.0
     eps: float = 1e-9
     max_iter: int = 50000
-    tol_den: float = 1e-12
-    tol_dep: float = 1e-10
     use_new_step: bool = True
     keep_trace: bool = False
 
@@ -67,98 +73,73 @@ class QuadSolverConfig:
             raise ValueError("eps must lie in (0, inf)")
 
 
-class _QuadRun:
-    """Shared stepping state: buffers, history, counters, trace."""
+def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
+           method: str, tau: float) -> RunReport:
+    """One exact SD step, then the adaptive rule from threshold tau.
 
-    def __init__(self, p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
-                 method: str, tau: float):
-        self.p = p
-        self.cfg = cfg
-        self.v = p.spectrum
-        self.xs = p.x_star
-        self.gscale = p.grad_scale
-        self.x = np.array(x0, dtype=float)
-        if self.x.shape != self.v.shape:
-            raise InvalidInput("x0 has the wrong dimension")
-        if not np.all(np.isfinite(self.x)):
-            raise InvalidInput("x0 has entries that are not finite")
-        self.g = np.empty_like(self.x)
-        self.g_next = np.empty_like(self.x)
-        self.y = np.empty(min(self.x.shape[0], kernels.BLOCK))
-        self.gg = kernels.quad_gradient(self.v, self.xs, self.x, self.gscale, self.g)
-        self.gnorm_start = math.sqrt(self.gg)
-        self.hist = GradientHistory()
-        if self.gg > 0.0:
-            self.hist.push(self.gg)
-        self.k = 1
-        self.tau = tau
-        self.report = RunReport(method=method, ngrad=1)
-        self.t0 = time.perf_counter()
+    The kernels, ``sd_stepsize``, ``next_stepsize`` and
+    ``hist.set_stepsize`` are looked up at every call, never hoisted, so
+    that wrappers patched onto them see every call.
+    """
+    t0 = time.perf_counter()
+    v, xs, gscale = p.spectrum, p.x_star, p.grad_scale
+    x = np.array(x0, dtype=float)
+    if x.shape != v.shape:
+        raise InvalidInput("x0 has the wrong dimension")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput("x0 has entries that are not finite")
+    g = np.empty_like(x)
+    g_next = np.empty_like(x)
+    y = np.empty(min(x.shape[0], kernels.BLOCK))
+    gg = kernels.quad_gradient(v, xs, x, gscale, g)
+    hist = GradientHistory()
+    if gg > 0.0:
+        hist.push(gg)
+    rep = RunReport(method=method)
+    it = 0
 
-    def converged(self) -> bool:
-        return math.sqrt(self.gg) <= self.cfg.eps * self.gnorm_start
+    def finish(status: str, message: str = "") -> RunReport:
+        rep.iterations = it
+        rep.ngrad = it + 1
+        rep.status = status
+        rep.message = message
+        rep.final_gnorm = math.sqrt(gg)
+        rep.final_f = kernels.quad_value(v, xs, x, p.value_scale, g_next)
+        rep.wall_time = time.perf_counter() - t0
+        return rep
 
-    def step(self, alpha: float, branch: str) -> None:
-        """Move to the next iterate and refresh history and counters."""
-        gg_old = self.gg
-        self.hist.set_stepsize(alpha)
-        gy, yy, gg_new = kernels.quad_step(
-            self.v, self.xs, self.x, self.g, self.g_next, alpha, self.gscale,
-            self.y)
-        self.g, self.g_next = self.g_next, self.g
-        self.gg = gg_new
-        self.k += 1
-        rep = self.report
-        rep.iterations += 1
-        rep.ngrad += 1
+    if not math.isfinite(gg):
+        return finish(STATUS_NONFINITE, "starting gradient is not finite")
+    gtol = cfg.eps * math.sqrt(gg)
+    if math.sqrt(gg) <= gtol:
+        return finish(STATUS_OK)
+    alpha, branch = sd_stepsize(g, quadprob.hess_vec(p, g)), "sd"
+    while True:
+        gg_old = gg
+        hist.set_stepsize(alpha)
+        gy, yy, gg = kernels.quad_step(v, xs, x, g, g_next, alpha, gscale, y)
+        g, g_next = g_next, g
+        it += 1
         rep.count(branch)
         sy = -alpha * gy
-        new_bb1 = math.nan
-        new_bb2 = math.nan
+        new_bb1 = new_bb2 = math.nan
         if sy > 0.0:
             new_bb1 = alpha * alpha * gg_old / sy
             if yy > 0.0:
                 new_bb2 = sy / yy
-        if gg_new > 0.0:
-            self.hist.push(gg_new, new_bb1, new_bb2)
-        if self.cfg.keep_trace:
+        if gg > 0.0:
+            hist.push(gg, new_bb1, new_bb2)
+        if cfg.keep_trace:
             rep.trace.append(TraceRecord(
-                k=self.k - 1, stepsize=alpha, branch=branch,
-                gnorm=math.sqrt(gg_new),
-                fval=kernels.quad_value(self.v, self.xs, self.x, self.p.value_scale),
-                bb1=new_bb1, bb2=new_bb2, tau=self.tau))
-
-    def sd_start(self) -> float:
-        return sd_stepsize(self.g, quadprob.hess_vec(self.p, self.g))
-
-    def finish(self, status: str, message: str = "") -> RunReport:
-        rep = self.report
-        rep.status = status
-        rep.message = message
-        rep.final_gnorm = math.sqrt(self.gg)
-        rep.final_f = kernels.quad_value(self.v, self.xs, self.x, self.p.value_scale)
-        rep.wall_time = time.perf_counter() - self.t0
-        return rep
-
-
-def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
-           method: str, tau: float) -> RunReport:
-    """One exact SD step, then the adaptive rule from threshold tau."""
-    run = _QuadRun(p, x0, cfg, method, tau)
-    if not math.isfinite(run.gg):
-        return run.finish(STATUS_NONFINITE, "starting gradient is not finite")
-    if run.converged():
-        return run.finish(STATUS_OK)
-    alpha, branch = run.sd_start(), "sd"
-    while True:
-        run.step(alpha, branch)
-        if run.converged():
-            return run.finish(STATUS_OK)
-        if run.report.iterations >= cfg.max_iter:
-            return run.finish(STATUS_MAXITER, "iteration budget exhausted")
-        nxt, branch, run.tau = next_stepsize(
-            run.hist, run.k, run.tau, cfg.gamma, cfg.use_new_step,
-            cfg.tol_den, cfg.tol_dep)
+                k=it, stepsize=alpha, branch=branch, gnorm=math.sqrt(gg),
+                fval=kernels.quad_value(v, xs, x, p.value_scale, g_next),
+                bb1=new_bb1, bb2=new_bb2, tau=tau))
+        if math.sqrt(gg) <= gtol:
+            return finish(STATUS_OK)
+        if it >= cfg.max_iter:
+            return finish(STATUS_MAXITER, "iteration budget exhausted")
+        nxt, branch, tau = next_stepsize(hist, it + 1, tau, cfg.gamma,
+                                         cfg.use_new_step)
         if nxt is None:
             branch = "fallback"
         else:

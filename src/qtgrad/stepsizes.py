@@ -18,6 +18,8 @@ from .errors import Degenerate, NonPositiveCurvature, ZeroDenominator
 
 # Cauchy-Schwarz slack for pairs built from explicit vectors.
 _CS_RTOL = 1e-12
+# Relative gap under which bbq_stepsize takes two BB1 values as equal.
+TOL_DEN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,13 +93,8 @@ def sd_stepsize(g: np.ndarray, hess_g: np.ndarray) -> float:
     return float(g @ g) / den
 
 
-def bbq_stepsize(
-    bb1_prev: float,
-    bb1_cur: float,
-    bb2_prev: float,
-    bb2_cur: float,
-    tol_den: float = 1e-12,
-) -> float:
+def bbq_stepsize(bb1_prev: float, bb1_cur: float, bb2_prev: float,
+                 bb2_cur: float) -> float:
     """Two-dimensional quadratic-termination (BBQ) stepsize.
 
     The stepsize is the reciprocal of the larger root of the quadratic
@@ -115,7 +112,7 @@ def bbq_stepsize(
                          f" = {(bb1_prev, bb1_cur, bb2_prev, bb2_cur)}")
     scale = max(bb1_prev, bb1_cur)
     den = bb2_prev * bb2_cur * (bb1_prev - bb1_cur)
-    if abs(bb1_prev - bb1_cur) <= tol_den * scale or den == 0.0:
+    if abs(bb1_prev - bb1_cur) <= TOL_DEN * scale or den == 0.0:
         raise Degenerate("consecutive bb1 values coincide")
     r1 = (bb2_prev - bb2_cur) / den                       # phi1 / phi3
     r2 = (bb1_prev * bb2_prev - bb1_cur * bb2_cur) / den  # phi2 / phi3

@@ -33,6 +33,10 @@ from . import stepsizes
 from .errors import Degenerate, LinearDependence, NumericalFailure
 
 _SYM_RTOL = 1e-12
+# Linear-dependence threshold of gram_schmidt3 and recurrence_scalars.
+TOL_DEP = 1e-10
+# |p| under this, relative to tr(H^2), means a triple eigenvalue.
+_P_TOL = 1e-12
 
 
 def _symmetric(entries, dim: int) -> np.ndarray:
@@ -144,12 +148,11 @@ class GradientHistory:
         return self._recs[i]
 
 
-def gram_schmidt3(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                  tol_dep: float = 1e-10):
+def gram_schmidt3(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Orthonormalize three vectors in order, classical Gram-Schmidt.
 
     Returns unit vectors (u, v, r).  Raises LinearDependence when any
-    residual norm falls below tol_dep times the input norm, which the
+    residual norm falls below TOL_DEP times the input norm, which the
     stepsize code treats like any other degenerate history.
     """
     a = np.asarray(a, dtype=float)
@@ -161,12 +164,12 @@ def gram_schmidt3(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     u = a / na
     vbar = b - (b @ u) * u
     nv = float(np.linalg.norm(vbar))
-    if nv <= tol_dep * float(np.linalg.norm(b)):
+    if nv <= TOL_DEP * float(np.linalg.norm(b)):
         raise LinearDependence("second vector is dependent")
     v = vbar / nv
     rbar = c - (c @ u) * u - (c @ v) * v
     nr = float(np.linalg.norm(rbar))
-    if nr <= tol_dep * float(np.linalg.norm(c)):
+    if nr <= TOL_DEP * float(np.linalg.norm(c)):
         raise LinearDependence("third vector is dependent")
     return u, v, rbar / nr
 
@@ -188,7 +191,7 @@ def project_hessian(u: np.ndarray, v: np.ndarray, r: np.ndarray,
     return HMatrix(h)
 
 
-def _largest_root(tr: float, tr2: float, det: float, p_tol: float = 1e-12):
+def _largest_root(tr: float, tr2: float, det: float):
     """(p, q, theta, root) for z^3 - tr z^2 + (tr^2 - tr2)/2 z - det = 0.
 
     The characteristic cubic of a symmetric 3x3 from its trace, tr(H^2)
@@ -201,7 +204,7 @@ def _largest_root(tr: float, tr2: float, det: float, p_tol: float = 1e-12):
     """
     p = (tr * tr - 3.0 * tr2) / 6.0
     q = (5.0 * tr**3 - 9.0 * tr * tr2) / 54.0 - det
-    if abs(p) <= p_tol * (abs(tr2) if abs(tr2) > 1.0 else 1.0):
+    if abs(p) <= _P_TOL * (abs(tr2) if abs(tr2) > 1.0 else 1.0):
         theta = 0.0
         root = tr / 3.0
     else:
@@ -219,12 +222,12 @@ def _largest_root(tr: float, tr2: float, det: float, p_tol: float = 1e-12):
     return p, q, theta, root
 
 
-def largest_root_cubic(h: HMatrix, p_tol: float = 1e-12) -> CubicSolve:
+def largest_root_cubic(h: HMatrix) -> CubicSolve:
     """Largest eigenvalue of a symmetric 3x3 via the trigonometric form.
 
     Raises Degenerate when the solve fails or the root is not positive.
     """
-    return CubicSolve(*_largest_root(h.trace, h.trace_sq, h.det, p_tol))
+    return CubicSolve(*_largest_root(h.trace, h.trace_sq, h.det))
 
 
 def largest_root_quartic(entries, max_steps: int = 200,
@@ -287,8 +290,7 @@ def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,
         project_hessian(u, v, r, hess_vec)).largest_root
 
 
-def recurrence_scalars(hist: GradientHistory,
-                       tol_dep: float = 1e-10) -> RecurrenceScalars:
+def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
     """Closed-form scalars from four history records.
 
     With the newest record at index k, uses the stepsizes taken at k-3
@@ -315,10 +317,10 @@ def recurrence_scalars(hist: GradientHistory,
             raise Degenerate(f"{name} = {val}")
     t = 1.0 - a3 / b2
     zeta = t * n3 / n2
-    if abs(zeta) <= tol_dep:
+    if abs(zeta) <= TOL_DEP:
         raise Degenerate(f"zeta = {zeta}")
     sigma = t * zeta
-    if sigma >= 1.0 - tol_dep:
+    if sigma >= 1.0 - TOL_DEP:
         raise Degenerate(f"sigma = {sigma}")
     delta = (1.0 - 1.0 / zeta) / a3
     gamma = 1.0 - (a2 / (1.0 - sigma)) * (1.0 / b1 - sigma * delta)
@@ -376,19 +378,19 @@ def hmatrix_from_recurrence(scal: RecurrenceScalars,
                              [0.0, h23, h33]]))
 
 
-def alpha_new_bb(hist: GradientHistory, tol_dep: float = 1e-10) -> float:
+def alpha_new_bb(hist: GradientHistory) -> float:
     """Three-dimensional quadratic-termination stepsize, recurrence route.
 
     Plain float arithmetic throughout.  Every failure mode (short
     history, degenerate scalars, g_r <= 0, indefinite or ill-posed H)
     surfaces as Degenerate so callers have a single fallback path.
     """
-    entries = _recurrence_entries(recurrence_scalars(hist, tol_dep), hist)
+    entries = _recurrence_entries(recurrence_scalars(hist), hist)
     return 1.0 / _largest_root(*_tridiagonal_invariants(*entries))[3]
 
 
 def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,
-                  use_new_step: bool, tol_den: float, tol_dep: float):
+                  use_new_step: bool):
     """The adaptive long/short stepsize rule shared by both solvers.
 
     ``k`` is the index of the iterate just reached, whose pair is
@@ -416,8 +418,8 @@ def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,
     bb2_min = min(prev.bb2, cur.bb2)
     try:
         if use_new_step and math.isfinite(hist.rec(-3).bb1):
-            return min(bb2_min, alpha_new_bb(hist, tol_dep)), "short_new", tau
+            return min(bb2_min, alpha_new_bb(hist)), "short_new", tau
         return min(bb2_min, stepsizes.bbq_stepsize(
-            prev.bb1, cur.bb1, prev.bb2, cur.bb2, tol_den)), "short_bbq", tau
+            prev.bb1, cur.bb1, prev.bb2, cur.bb2)), "short_bbq", tau
     except Degenerate:
         return bb2_min, "short_bb2", tau

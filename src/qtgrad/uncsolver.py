@@ -7,7 +7,8 @@ Dai-Fletcher nonmonotone line search with the reference-value
 bookkeeping of :func:`update_reference`.  No Hessian
 access anywhere: the short steps reuse the recurrence route through
 recent stepsizes and gradient norms, which is exact on quadratics and a
-serviceable model elsewhere.
+serviceable model elsewhere.  The line-search and reference constants
+are module-level; :class:`UncSolverConfig` holds what callers set.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from .report import (
     TraceRecord,
 )
 from .termination3d import GradientHistory, next_stepsize
+
+# Line search: Armijo fraction, backtracking factor, backtrack budget.
+DELTA = 1e-4
+ETA = 0.5
+MAX_BACKTRACKS = 60
+# Iterations without a new best value before the reference value resets.
+REF_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,8 @@ def _search(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks):
         f"no acceptable step within {nfe} evaluations from alpha0={alpha0}")
 
 
-def dai_fletcher_search(f, x, g, d, alpha0, f_r, delta=1e-4, eta=0.5,
-                        max_backtracks=60):
+def dai_fletcher_search(f, x, g, d, alpha0, f_r, delta=DELTA, eta=ETA,
+                        max_backtracks=MAX_BACKTRACKS):
     """Dai-Fletcher nonmonotone backtracking.
 
     Finds lambda = alpha0 * eta^j for the smallest j >= 0 with
@@ -116,27 +124,30 @@ def dai_fletcher_search(f, x, g, d, alpha0, f_r, delta=1e-4, eta=0.5,
 
 @dataclass(frozen=True)
 class UncSolverConfig:
+    """Knobs for the globalized solver.
+
+    Trial stepsizes are clamped into [``alpha_min``, ``alpha_max``];
+    ``tau1`` and ``gamma`` start and scale the adaptive threshold.  The
+    run stops at ||g||_inf <= ``eps_inf``, or after ``max_iter``
+    iterations or ``max_fevals`` values.  ``use_new_step`` picks alg1 over
+    alg1-bbq; ``keep_trace`` records every iteration.  Constants: this
+    module's ``DELTA``, ``ETA``, ``MAX_BACKTRACKS`` and ``REF_CAP``,
+    ``stepsizes.TOL_DEN`` and ``termination3d.TOL_DEP``.
+    """
+
     alpha_min: float = 1e-10
     alpha_max: float = 1e6
-    ref_cap: int = 3
-    delta: float = 1e-4
-    eta: float = 0.5
     tau1: float = 0.65
     gamma: float = 1.4
     eps_inf: float = 1e-6
     max_iter: int = 200000
-    max_backtracks: int = 60
     max_fevals: int = 1000000
-    tol_den: float = 1e-12
-    tol_dep: float = 1e-10
     use_new_step: bool = True
     keep_trace: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha_min < self.alpha_max:
             raise ValueError("need 0 < alpha_min < alpha_max")
-        if not (0.0 < self.delta < 1.0 and 0.0 < self.eta < 1.0):
-            raise ValueError("delta and eta must lie in (0, 1)")
         if self.gamma < 1.0:
             raise ValueError("gamma must be at least 1")
         if not 0.0 < self.eps_inf < math.inf:
@@ -176,7 +187,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     fval = float(f.value(x))
     rep.ngrad = 1
     rep.nfe = 1
-    ref = init_reference(fval, cfg.ref_cap)
+    ref = init_reference(fval, REF_CAP)
     hist = GradientHistory()
     gg = float(g @ g)
     if gg > 0.0:
@@ -205,10 +216,9 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         d = -g
         try:
             lam, used, x_new, f_new = _search(
-                f.value, x, g, d, alpha, ref.f_r,
-                cfg.delta, cfg.eta, cfg.max_backtracks)
+                f.value, x, g, d, alpha, ref.f_r, DELTA, ETA, MAX_BACKTRACKS)
         except LineSearchFailure as exc:
-            rep.nfe += cfg.max_backtracks + 1
+            rep.nfe += MAX_BACKTRACKS + 1
             return finish(STATUS_LINESEARCH, str(exc))
         rep.nfe += used
         it = rep.iterations + 1
@@ -250,8 +260,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
             return finish(STATUS_FEVAL_BUDGET, "function evaluation budget exhausted")
 
         alpha, branch, tau = next_stepsize(
-            hist, rep.iterations + 1, tau, cfg.gamma, cfg.use_new_step,
-            cfg.tol_den, cfg.tol_dep)
+            hist, rep.iterations + 1, tau, cfg.gamma, cfg.use_new_step)
         if alpha is None:
             alpha = min(1.0 / ginf, _norm_inf(x) / ginf)
         alpha = min(max(alpha, cfg.alpha_min), cfg.alpha_max)

@@ -41,8 +41,7 @@ def _clip(alpha, clamp):
 
 
 def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
-                    tol_den=1e-12, tol_dep=1e-10, rule="quad",
-                    clamp=None, *, gnorm_sq):
+                    rule="quad", clamp=None, *, gnorm_sq):
     """Expected (branch, stepsize, tau) triples, one per trace row.
 
     ``rows`` are TraceRecord-likes carrying k, stepsize, branch, bb1, bb2
@@ -69,8 +68,7 @@ def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
             elif row.k < 5:
                 out.append(("bb1", _clip(cur.bb1, clamp), tau))
             elif math.isfinite(cur.bb2) and cur.bb2 / cur.bb1 < tau:
-                branch, alpha = _short_step(hist, use_new_step,
-                                            tol_den, tol_dep)
+                branch, alpha = _short_step(hist, use_new_step)
                 tau /= gamma
                 out.append((branch, _clip(alpha, clamp), tau))
             else:
@@ -81,7 +79,7 @@ def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
     return out
 
 
-def _short_step(hist, use_new_step, tol_den, tol_dep):
+def _short_step(hist, use_new_step):
     cur = hist.rec(-1)
     prev = hist.rec(-2)
     if not math.isfinite(prev.bb1):
@@ -89,11 +87,11 @@ def _short_step(hist, use_new_step, tol_den, tol_dep):
     cands = [prev.bb2, cur.bb2]
     try:
         if use_new_step and math.isfinite(hist.rec(-3).bb1):
-            cands.append(alpha_new_bb(hist, tol_dep))
+            cands.append(alpha_new_bb(hist))
             branch = "short_new"
         else:
             cands.append(bbq_stepsize(prev.bb1, cur.bb1,
-                                      prev.bb2, cur.bb2, tol_den))
+                                      prev.bb2, cur.bb2))
             branch = "short_bbq"
     except Degenerate:
         branch = "short_bb2"

@@ -366,6 +366,25 @@ def test_profile_rejects_malformed_csv(tmp_path):
         performance_profile(str(bad), "iter")
 
 
+@pytest.mark.parametrize("cell, value", [
+    ("iters", "abc"),       # not a number
+    ("nfe", None),          # truncated row
+    ("iters", "nan"),       # nan in an integer column
+])
+def test_main_rejects_bad_cells_in_runs_csv(tmp_path, capsys, cell, value):
+    runs_path, _ = run_experiment(spec_for(tmp_path))
+    with open(runs_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, row = rows[0], rows[2]
+    i = header.index(cell)
+    rows[2] = row[:i] if value is None else row[:i] + [value] + row[i + 1:]
+    with open(runs_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["profile", runs_path]) == 2
+    err = capsys.readouterr().err
+    assert f"{runs_path}:3: column {cell}" in err
+
+
 # ------------------------------------------------------------------- main
 
 

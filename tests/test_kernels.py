@@ -40,8 +40,13 @@ def test_kernel_value_and_gradient(gscale):
     np.testing.assert_allclose(out, gscale * v * (x - xs), rtol=1e-14)
     assert gg == pytest.approx(float(out @ out), rel=1e-12)
     vscale = 1.0 if gscale == 2.0 else 0.5
-    assert kernels.quad_value(v, xs, x, vscale) == pytest.approx(
+    value = kernels.quad_value(v, xs, x, vscale)
+    assert value == pytest.approx(
         vscale * float((x - xs) @ (v * (x - xs))), rel=1e-13)
+    # with a buffer for x - xs the value is bitwise the same
+    d = np.empty_like(x)
+    assert kernels.quad_value(v, xs, x, vscale, d) == value
+    np.testing.assert_array_equal(d, x - xs)
 
 
 def test_backend_name_reports_known_value():

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from qtgrad import kernels
+from qtgrad import kernels, quadsolver, termination3d
 from qtgrad.quadprob import (
     SET_IDS,
     Form,
@@ -29,6 +29,7 @@ from qtgrad.quadsolver import (
     verify_3d_termination,
 )
 from qtgrad.report import STATUS_MAXITER, STATUS_NONFINITE, STATUS_OK
+from qtgrad.termination3d import GradientHistory
 
 from replay import SHORT_BRANCHES, replay_branches
 
@@ -154,7 +155,6 @@ def test_trace_replay_matches_decision_rule(spec, start, knobs, use_new):
     g1 = gradient(p, x0)
     expect = replay_branches(rep.trace, float(g1 @ g1), cfg.tau1, cfg.gamma,
                              use_new_step=use_new,
-                             tol_den=cfg.tol_den, tol_dep=cfg.tol_dep,
                              gnorm_sq=_exact_gnorm_sq_along(p, x0, rep.trace))
     assert len(expect) == len(rep.trace)
     for row, (branch, alpha, tau) in zip(rep.trace, expect):
@@ -174,7 +174,6 @@ def test_degenerate_new_step_takes_bb2_min():
     rep = solve_new(p, x0, cfg)
     g1 = gradient(p, x0)
     expect = replay_branches(rep.trace, float(g1 @ g1), cfg.tau1, cfg.gamma,
-                             tol_den=cfg.tol_den, tol_dep=cfg.tol_dep,
                              gnorm_sq=_exact_gnorm_sq_along(p, x0, rep.trace))
     rows = rep.trace
     assert [row.branch for row in rows] == [b for b, _, _ in expect]
@@ -183,6 +182,35 @@ def test_degenerate_new_step_takes_bb2_min():
     for i in fell_back:
         assert rows[i].stepsize == expect[i][1]
         assert rows[i].stepsize == min(rows[i - 2].bb2, rows[i - 1].bb2)
+
+
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_loop_calls_patched_hooks(monkeypatch, solver):
+    # perfbench's tracer wraps these attributes; the loop must look each
+    # up at the call, or the wrapper misses calls
+    calls = {}
+
+    def count_calls(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count_calls(kernels, "quad_step")
+    count_calls(quadsolver, "sd_stepsize")
+    count_calls(termination3d, "alpha_new_bb")
+    count_calls(GradientHistory, "set_stepsize")
+    p = generate(4, 100, 1e4, seed=0)
+    rep = solver(p, starting_point(p, 0), QuadSolverConfig())
+    assert rep.status == STATUS_OK
+    assert calls["quad_step"] == calls["set_stepsize"] == rep.iterations
+    assert calls["sd_stepsize"] == 1
+    if solver is solve_new:
+        assert calls["alpha_new_bb"] >= rep.branch_counts["short_new"] > 0
+    else:
+        assert "alpha_new_bb" not in calls
 
 
 def test_rerun_is_bitwise_identical():

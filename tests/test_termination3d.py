@@ -326,14 +326,14 @@ def _solver_histories(kappa):
     seen = []
     real = termination3d.alpha_new_bb
 
-    def spy(hist, tol_dep=1e-10):
+    def spy(hist):
         snap = GradientHistory()
         for i in (-4, -3, -2, -1):
             rec = hist.rec(i)
             snap.push(rec.gnorm_sq, rec.bb1, rec.bb2)
             snap.set_stepsize(rec.stepsize)
         seen.append(snap)
-        return real(hist, tol_dep)
+        return real(hist)
 
     termination3d.alpha_new_bb = spy
     try:
@@ -384,8 +384,6 @@ def test_alpha_new_bb_degenerate_without_stepsizes():
 
 # ------------------------------------------------------- adaptive rule
 
-RULE = {"tol_den": 1e-12, "tol_dep": 1e-10}
-
 
 def _rule_history(stale=None, degenerate=False):
     """Four fresh records from an exact BB1 run, optionally spoiled.
@@ -405,14 +403,14 @@ def _rule_history(stale=None, degenerate=False):
 def test_next_stepsize_warm_up_is_bb1():
     hist = _rule_history()
     cur = hist.rec(-1)
-    assert next_stepsize(hist, 4, 1.0, 2.0, True, **RULE) == (cur.bb1, "bb1", 1.0)
+    assert next_stepsize(hist, 4, 1.0, 2.0, True) == (cur.bb1, "bb1", 1.0)
 
 
 def test_next_stepsize_long_step_grows_tau():
     hist = _rule_history()
     cur = hist.rec(-1)
     tau = 0.5 * cur.bb2 / cur.bb1
-    assert next_stepsize(hist, 6, tau, 1.5, True, **RULE) == (
+    assert next_stepsize(hist, 6, tau, 1.5, True) == (
         cur.bb1, "bb1", tau * 1.5)
 
 
@@ -421,7 +419,7 @@ def test_next_stepsize_short_new_with_three_fresh_pairs():
     prev, cur = hist.rec(-2), hist.rec(-1)
     expect = min(prev.bb2, cur.bb2, alpha_new_bb(hist))
     assert expect < min(prev.bb2, cur.bb2)
-    assert next_stepsize(hist, 6, 1.0, 2.0, True, **RULE) == (
+    assert next_stepsize(hist, 6, 1.0, 2.0, True) == (
         expect, "short_new", 0.5)
 
 
@@ -433,13 +431,13 @@ def test_next_stepsize_short_bbq(stale, use_new):
     expect = min(prev.bb2, cur.bb2,
                  bbq_stepsize(prev.bb1, cur.bb1, prev.bb2, cur.bb2))
     assert expect < min(prev.bb2, cur.bb2)
-    assert next_stepsize(hist, 6, 1.0, 2.0, use_new, **RULE) == (
+    assert next_stepsize(hist, 6, 1.0, 2.0, use_new) == (
         expect, "short_bbq", 0.5)
 
 
 def test_next_stepsize_bare_bb2_with_one_fresh_pair():
     hist = _rule_history(stale=-2)
-    assert next_stepsize(hist, 6, 1.0, 2.0, True, **RULE) == (
+    assert next_stepsize(hist, 6, 1.0, 2.0, True) == (
         hist.rec(-1).bb2, "short_bb2only", 0.5)
 
 
@@ -448,13 +446,13 @@ def test_next_stepsize_degenerate_new_step_leaves_bb2_min():
     with pytest.raises(Degenerate):
         alpha_new_bb(hist)
     prev, cur = hist.rec(-2), hist.rec(-1)
-    assert next_stepsize(hist, 6, 1.0, 2.0, True, **RULE) == (
+    assert next_stepsize(hist, 6, 1.0, 2.0, True) == (
         min(prev.bb2, cur.bb2), "short_bb2", 0.5)
 
 
 def test_next_stepsize_none_without_curvature():
     hist = _rule_history(stale=-1)
-    alpha, _, tau = next_stepsize(hist, 6, 0.7, 2.0, True, **RULE)
+    alpha, _, tau = next_stepsize(hist, 6, 0.7, 2.0, True)
     assert alpha is None
     assert tau == 0.7
 
@@ -464,5 +462,5 @@ def test_next_stepsize_none_without_curvature():
 def test_next_stepsize_zero_tau_never_takes_a_short_step(stale, degenerate):
     hist = _rule_history(stale=stale, degenerate=degenerate)
     for k in (4, 5, 50):
-        assert next_stepsize(hist, k, 0.0, 2.0, True, **RULE) == (
+        assert next_stepsize(hist, k, 0.0, 2.0, True) == (
             hist.rec(-1).bb1, "bb1", 0.0)
