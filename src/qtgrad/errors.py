@@ -36,7 +36,7 @@ class LinearDependence(Degenerate):
 
 
 class NumericalFailure(QtgradError):
-    """The quartic root finder failed its bracket or iteration budget."""
+    """An intermediate overflowed, or the quartic root finder failed."""
 
 
 class NonDescentDirection(QtgradError):

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, quadprob
-from .errors import Degenerate, InvalidInput, NonPositiveCurvature, ZeroDenominator
+from .errors import (Degenerate, InvalidInput, NonPositiveCurvature,
+                     NumericalFailure, ZeroDenominator)
 from .report import (
     STATUS_DEGENERATE,
     STATUS_MAXITER,
@@ -77,9 +78,11 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
            method: str, tau: float) -> RunReport:
     """One exact SD step, then the adaptive rule from threshold tau.
 
-    The kernels, ``sd_stepsize``, ``next_stepsize`` and
-    ``hist.set_stepsize`` are looked up at every call, never hoisted, so
-    that wrappers patched onto them see every call.
+    A starting g'g, or a g'Ag of the SD step, that is not finite ends the
+    run at iteration 0 with status "nonfinite".  The kernels,
+    ``sd_stepsize``, ``next_stepsize`` and ``hist.set_stepsize`` are
+    looked up at every call, never hoisted, so that wrappers patched onto
+    them see every call.
     """
     t0 = time.perf_counter()
     v, xs, gscale = p.spectrum, p.x_star, p.grad_scale
@@ -113,7 +116,10 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     gtol = cfg.eps * math.sqrt(gg)
     if math.sqrt(gg) <= gtol:
         return finish(STATUS_OK)
-    alpha, branch = sd_stepsize(g, quadprob.hess_vec(p, g)), "sd"
+    try:
+        alpha, branch = sd_stepsize(g, quadprob.hess_vec(p, g)), "sd"
+    except NumericalFailure as exc:
+        return finish(STATUS_NONFINITE, f"steepest-descent step: {exc}")
     while True:
         gg_old = gg
         hist.set_stepsize(alpha)
@@ -184,7 +190,9 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     direct three-dimensional step at k=3 and the BBQ step at k=6;
     "bb1" runs unmodified BB1 with no special steps, the control column.
     Reports ||g|| and f at the ninth iterate.  A Degenerate special step
-    marks the run failed rather than substituting another stepsize.
+    marks the run failed rather than substituting another stepsize; a
+    gradient that is not finite at any iterate, or an overflowing step
+    (g'Ag), ends it with status "nonfinite".
     """
     if method not in _VERIFY_METHODS:
         raise ValueError(f"method must be one of {_VERIFY_METHODS}")
@@ -208,9 +216,12 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
         rep.wall_time = time.perf_counter() - t0
         return rep
 
-    for k in range(1, 9):
-        if float(g @ g) == 0.0:
-            # already at the minimizer, remaining steps are no-ops
+    for k in range(1, 10):
+        gg = float(g @ g)
+        if not math.isfinite(gg):
+            return finish(STATUS_NONFINITE, f"gradient not finite at k={k}")
+        if k == 9 or gg == 0.0:
+            # eight steps taken, or early at the minimizer
             return finish(STATUS_OK)
         try:
             if k == 1:
@@ -227,6 +238,8 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
                 alpha, branch = base(pair_cur), "base"
         except (Degenerate, NonPositiveCurvature, ZeroDenominator) as exc:
             return finish(STATUS_DEGENERATE, f"at k={k}: {exc}")
+        except NumericalFailure as exc:
+            return finish(STATUS_NONFINITE, f"at k={k}: {exc}")
         x = x - alpha * g
         g_new = quadprob.gradient(p, x)
         rep.ngrad += 1
@@ -241,4 +254,3 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
             rep.trace.append(TraceRecord(
                 k=k, stepsize=alpha, branch=branch,
                 gnorm=float(np.linalg.norm(g)), fval=quadprob.value(p, x)))
-    return finish(STATUS_OK)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, NonPositiveCurvature, ZeroDenominator
+from .errors import (Degenerate, NonPositiveCurvature, NumericalFailure,
+                     ZeroDenominator)
 
 # Cauchy-Schwarz slack for pairs built from explicit vectors.
 _CS_RTOL = 1e-12
@@ -85,12 +86,20 @@ def sd_stepsize(g: np.ndarray, hess_g: np.ndarray) -> float:
         Current gradient.
     hess_g : ndarray
         Hessian-vector product A g, already applied by the caller.
+
+    Raises NumericalFailure unless g'Ag is finite and the step positive
+    and finite, and NonPositiveCurvature when g'Ag <= 0.
     """
     g = np.asarray(g, dtype=float)
     den = float(g @ np.asarray(hess_g, dtype=float))
+    if not math.isfinite(den):
+        raise NumericalFailure(f"g'Ag = {den} is not finite")
     if den <= 0.0:
         raise NonPositiveCurvature(f"g'Ag = {den}")
-    return float(g @ g) / den
+    step = float(g @ g) / den
+    if not 0.0 < step < math.inf:
+        raise NumericalFailure(f"g'g / g'Ag = {step}")
+    return step
 
 
 def bbq_stepsize(bb1_prev: float, bb1_cur: float, bb2_prev: float,

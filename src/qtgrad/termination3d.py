@@ -23,7 +23,6 @@ solver takes a four-dimensional step.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -99,53 +98,36 @@ class RecurrenceScalars(NamedTuple):
     g_ar: float
 
 
-@dataclass
-class HistoryRecord:
-    """Per-iterate scalars the recurrence needs.
-
-    ``stepsize`` is the stepsize actually taken FROM this iterate (nan
-    until the step happens); ``bb1``/``bb2`` are the BB values computed
-    AT this iterate from the pair ending here (nan when undefined, e.g.
-    at the first iterate or after nonpositive curvature).
-    """
-
-    gnorm_sq: float
-    stepsize: float = math.nan
-    bb1: float = math.nan
-    bb2: float = math.nan
-
-
 class GradientHistory:
-    """Rolling window of the last four iterates' scalars.
+    """The last four iterates' scalars in four float slots, oldest first.
 
-    The newest record is ``rec(-1)``.
+    Index -1 is the newest iterate and -4 the oldest.  ``gnorm_sq[i]`` is
+    g'g at the iterate; ``stepsize[i]`` the stepsize taken FROM it (nan
+    until the step happens); ``bb1[i]``/``bb2[i]`` the BB values computed
+    AT it from the pair ending there (nan when undefined, e.g. at the
+    first iterate or after nonpositive curvature).  Every slot starts as
+    nan, which marks a slot not yet filled.
     """
 
     def __init__(self):
-        self._recs: deque[HistoryRecord] = deque(maxlen=4)
-
-    def __len__(self) -> int:
-        return len(self._recs)
-
-    @property
-    def full(self) -> bool:
-        return len(self._recs) == 4
+        self.gnorm_sq = [math.nan] * 4
+        self.stepsize = [math.nan] * 4
+        self.bb1 = [math.nan] * 4
+        self.bb2 = [math.nan] * 4
 
     def push(self, gnorm_sq: float, bb1: float = math.nan,
-             bb2: float = math.nan) -> HistoryRecord:
+             bb2: float = math.nan) -> None:
+        """Drop the oldest iterate and append a new one, stepsize unset."""
         if not gnorm_sq > 0.0:
             raise ValueError(f"gnorm_sq = {gnorm_sq} must be positive")
-        rec = HistoryRecord(float(gnorm_sq), math.nan, float(bb1), float(bb2))
-        self._recs.append(rec)
-        return rec
+        for slot, val in ((self.gnorm_sq, gnorm_sq), (self.stepsize, math.nan),
+                          (self.bb1, bb1), (self.bb2, bb2)):
+            del slot[0]
+            slot.append(float(val))
 
     def set_stepsize(self, stepsize: float) -> None:
         """Record the stepsize taken from the newest iterate."""
-        self._recs[-1].stepsize = float(stepsize)
-
-    def rec(self, i: int) -> HistoryRecord:
-        """Record i steps back, i = -1 for the newest, down to -4."""
-        return self._recs[i]
+        self.stepsize[-1] = float(stepsize)
 
 
 def gram_schmidt3(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -291,26 +273,19 @@ def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,
 
 
 def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
-    """Closed-form scalars from four history records.
+    """Closed-form scalars from the four history slots.
 
-    With the newest record at index k, uses the stepsizes taken at k-3
+    With the newest iterate at index k, uses the stepsizes taken at k-3
     and k-2, BB1 values at k-2, k-1 and k, and the three older gradient
-    norms.  Raises Degenerate when any required scalar is missing or
-    nonpositive, when zeta vanishes (consecutive gradients nearly
-    orthogonal, so delta is unbounded), or when sigma reaches 1
-    (consecutive gradients nearly parallel).
+    norms.  Raises Degenerate when any required scalar is missing (nan,
+    also for a history of fewer than four iterates) or nonpositive, when
+    zeta vanishes (consecutive gradients nearly orthogonal, so delta is
+    unbounded), or when sigma reaches 1 (consecutive gradients nearly
+    parallel).
     """
-    if not hist.full:
-        raise Degenerate("history holds fewer than four records")
-    r3, r2, r1, r0 = hist._recs
-    a3 = r3.stepsize       # stepsize taken at k-3
-    a2 = r2.stepsize       # stepsize taken at k-2
-    b2 = r2.bb1            # BB1 at k-2
-    b1 = r1.bb1            # BB1 at k-1
-    b0 = r0.bb1            # BB1 at k
-    n3 = r3.gnorm_sq
-    n2 = r2.gnorm_sq
-    n1 = r1.gnorm_sq
+    a3, a2 = hist.stepsize[0], hist.stepsize[1]   # taken at k-3, k-2
+    _, b2, b1, b0 = hist.bb1                        # BB1 at k-2, k-1, k
+    n3, n2, n1, _ = hist.gnorm_sq
     for name, val in (("alpha_{k-3}", a3), ("alpha_{k-2}", a2),
                       ("bb1_{k-2}", b2), ("bb1_{k-1}", b1), ("bb1_k", b0)):
         if not 0.0 < val < math.inf:
@@ -344,11 +319,10 @@ def _recurrence_entries(scal: RecurrenceScalars, hist: GradientHistory):
         raise Degenerate(f"g_r = {g_r}")
     if not sigma < 1.0:
         raise Degenerate(f"sigma = {sigma}")
-    r3, r2, r1, _ = hist._recs
-    a3, a2 = r3.stepsize, r2.stepsize
-    b2, b1 = r2.bb1, r1.bb1
-    norm3 = math.sqrt(r3.gnorm_sq)
-    norm2 = math.sqrt(r2.gnorm_sq)
+    a3, a2 = hist.stepsize[0], hist.stepsize[1]
+    b2, b1 = hist.bb1[1], hist.bb1[2]
+    norm3 = math.sqrt(hist.gnorm_sq[0])
+    norm2 = math.sqrt(hist.gnorm_sq[1])
     one_minus = 1.0 - sigma
     entries = (
         1.0 / b2,
@@ -393,10 +367,11 @@ def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,
                   use_new_step: bool):
     """The adaptive long/short stepsize rule shared by both solvers.
 
-    ``k`` is the index of the iterate just reached, whose pair is
-    ``hist.rec(-1)``.  Returns ``(alpha, branch, tau')``: BB1 below k = 5;
-    BB1 with tau grown by gamma when bb2/bb1 >= tau (always, at tau = 0);
-    else a short step with tau shrunk by gamma.  The short step is
+    ``k`` is the index of the iterate just reached, whose BB values are
+    ``hist.bb1[-1]`` and ``hist.bb2[-1]``.  Returns ``(alpha, branch,
+    tau')``: BB1 below k = 5; BB1 with tau grown by gamma when
+    bb2/bb1 >= tau (always, at tau = 0); else a short step with tau
+    shrunk by gamma.  The short step is
     min(BB2_k, BB2_{k-1}) and the highest-order termination step the
     fresh pairs (positive curvature) support: the 3-d step with three and
     ``use_new_step`` set ("short_new"), else BBQ ("short_bbq"); the BB2
@@ -404,22 +379,22 @@ def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,
     with one fresh pair ("short_bb2only").  alpha is None, and tau kept,
     when the newest pair has no positive curvature; the caller restarts.
     """
-    cur = hist.rec(-1)
-    if not (math.isfinite(cur.bb1) and cur.bb1 > 0.0):
+    bb1, bb2 = hist.bb1[-1], hist.bb2[-1]
+    if not (math.isfinite(bb1) and bb1 > 0.0):
         return None, "nocurv", tau
     if k < 5:
-        return cur.bb1, "bb1", tau
-    if not cur.bb2 / cur.bb1 < tau:
-        return cur.bb1, "bb1", tau * gamma
+        return bb1, "bb1", tau
+    if not bb2 / bb1 < tau:
+        return bb1, "bb1", tau * gamma
     tau /= gamma
-    prev = hist.rec(-2)
-    if not math.isfinite(prev.bb1):
-        return cur.bb2, "short_bb2only", tau
-    bb2_min = min(prev.bb2, cur.bb2)
+    prev_bb1, prev_bb2 = hist.bb1[-2], hist.bb2[-2]
+    if not math.isfinite(prev_bb1):
+        return bb2, "short_bb2only", tau
+    bb2_min = min(prev_bb2, bb2)
     try:
-        if use_new_step and math.isfinite(hist.rec(-3).bb1):
+        if use_new_step and math.isfinite(hist.bb1[-3]):
             return min(bb2_min, alpha_new_bb(hist)), "short_new", tau
         return min(bb2_min, stepsizes.bbq_stepsize(
-            prev.bb1, cur.bb1, prev.bb2, cur.bb2)), "short_bbq", tau
+            prev_bb1, bb1, prev_bb2, bb2)), "short_bbq", tau
     except Degenerate:
         return bb2_min, "short_bb2", tau

@@ -170,17 +170,19 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     has s'y <= 0 the trial resets to min(1, ||x||_inf) / ||g||_inf.  Every
     trial is clamped into [alpha_min, alpha_max].  Stops at
     ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
-    aborts with its diagnostic.  A starting point that is not finite
-    raises InvalidInput.  A value or gradient that is not finite, at the
-    start, at a NaN trial of the line search or at an accepted point,
-    ends the run at once with status "nonfinite"; an infinite trial value
-    is only a rejected trial.
+    aborts with its diagnostic.  A starting point that is not finite, or
+    whose shape is not (f.dimension,), raises InvalidInput.  A value or
+    gradient that is not finite, at the start, at a NaN trial of the line
+    search or at an accepted point, ends the run at once with status
+    "nonfinite"; an infinite trial value is only a rejected trial.
     """
     cfg = cfg or UncSolverConfig()
     method = "alg1" if cfg.use_new_step else "alg1-bbq"
     rep = RunReport(method=method)
     t0 = time.perf_counter()
     x = np.array(f.x0 if x0 is None else x0, dtype=float)
+    if x.shape != (f.dimension,):
+        raise InvalidInput("x0 has the wrong dimension")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("x0 has entries that are not finite")
     g = np.asarray(f.gradient(x), dtype=float)

@@ -61,37 +61,35 @@ def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
         if i == 0:
             out.append((row.branch, row.stepsize, tau))
         else:
-            cur = hist.rec(-1)
-            if not (math.isfinite(cur.bb1) and cur.bb1 > 0.0):
+            cur_bb1, cur_bb2 = hist.bb1[-1], hist.bb2[-1]
+            if not (math.isfinite(cur_bb1) and cur_bb1 > 0.0):
                 label = "fallback" if rule == "quad" else "nocurv"
                 out.append((label, None, tau))
             elif row.k < 5:
-                out.append(("bb1", _clip(cur.bb1, clamp), tau))
-            elif math.isfinite(cur.bb2) and cur.bb2 / cur.bb1 < tau:
+                out.append(("bb1", _clip(cur_bb1, clamp), tau))
+            elif math.isfinite(cur_bb2) and cur_bb2 / cur_bb1 < tau:
                 branch, alpha = _short_step(hist, use_new_step)
                 tau /= gamma
                 out.append((branch, _clip(alpha, clamp), tau))
             else:
                 tau *= gamma
-                out.append(("bb1", _clip(cur.bb1, clamp), tau))
+                out.append(("bb1", _clip(cur_bb1, clamp), tau))
         hist.set_stepsize(row.stepsize)
         hist.push(gnorm_sq[i], row.bb1, row.bb2)
     return out
 
 
 def _short_step(hist, use_new_step):
-    cur = hist.rec(-1)
-    prev = hist.rec(-2)
-    if not math.isfinite(prev.bb1):
-        return "short_bb2only", cur.bb2
-    cands = [prev.bb2, cur.bb2]
+    if not math.isfinite(hist.bb1[-2]):
+        return "short_bb2only", hist.bb2[-1]
+    cands = [hist.bb2[-2], hist.bb2[-1]]
     try:
-        if use_new_step and math.isfinite(hist.rec(-3).bb1):
+        if use_new_step and math.isfinite(hist.bb1[-3]):
             cands.append(alpha_new_bb(hist))
             branch = "short_new"
         else:
-            cands.append(bbq_stepsize(prev.bb1, cur.bb1,
-                                      prev.bb2, cur.bb2))
+            cands.append(bbq_stepsize(hist.bb1[-2], hist.bb1[-1],
+                                      hist.bb2[-2], hist.bb2[-1]))
             branch = "short_bbq"
     except Degenerate:
         branch = "short_bb2"

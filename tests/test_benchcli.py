@@ -399,6 +399,20 @@ def test_main_runs_quadbench(tmp_path, capsys):
     assert len(rows) == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_main_verify3d_overflowing_kappa_writes_nonfinite_rows(tmp_path,
+                                                               capsys):
+    # at kappa 1e200 this exited 1 with a traceback
+    out = str(tmp_path / "v3d")
+    code = main(["verify3d", "--kappa", "1e200", "--seeds", "1",
+                 "--zero-times", "--out", out])
+    assert code == 0
+    header, rows = read_csv(out + "_runs.csv")
+    assert len(rows) == 4
+    assert all(r[header.index("status")] == "nonfinite" for r in rows)
+    capsys.readouterr()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["quadbench", "--set", "9"]) == 2
     assert "error" in capsys.readouterr().err

@@ -282,13 +282,18 @@ def test_nonfinite_start_is_invalid_input(solver, bad):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("solver", [solve_bb, solve_new])
-def test_overflowing_start_gradient_reports_nonfinite(solver):
+@pytest.mark.parametrize("solver, index, big", [
+    (solve_bb, 0, 1e300), (solve_new, 0, 1e300),
+    (solve_bb, -1, 1e151), (solve_new, -1, 1e151),
+], ids=["solve_bb", "solve_new", "gag-solve_bb", "gag-solve_new"])
+def test_overflowing_start_gradient_reports_nonfinite(solver, index, big):
     # a finite x0 whose gradient norm overflows used to pass the
-    # convergence test inf <= eps * inf and report ok
+    # convergence test inf <= eps * inf and report ok; with a finite g'g
+    # but an overflowing g'Ag ("gag") the first step was 0 and the run
+    # took 49,999 fallback steps to maxiter
     p = generate(1, 10, 1e2, seed=0)
     x0 = starting_point(p, 0)
-    x0[0] = 1e300
+    x0[index] = big
     rep = solver(p, x0)
     assert rep.status == STATUS_NONFINITE
     assert not rep.solved
@@ -329,6 +334,17 @@ def test_verify3d_control_does_not_terminate():
     assert rep.status == STATUS_OK
     assert set(rep.branch_counts) == {"sd", "base"}
     assert rep.final_gnorm > 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kappa", [1e120, 1e200])
+@pytest.mark.parametrize("method", ["day3d", "bb13d", "bb23d", "bb1"])
+def test_verify3d_overflowing_start_reports_nonfinite(method, kappa):
+    # g'Ag overflows at 1e120 (the SD step was 0, then "degenerate"),
+    # g'g itself at 1e200 (HMatrix raised ValueError, bb1 reported ok)
+    rep = verify_3d_termination(kappa, method, seed=0)
+    assert rep.status == STATUS_NONFINITE
+    assert not rep.solved
 
 
 def test_verify3d_rejects_unknown_method():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtgrad.errors import Degenerate, NonPositiveCurvature
+from qtgrad.errors import Degenerate, NonPositiveCurvature, NumericalFailure
 from qtgrad.stepsizes import (
     StepPair,
     bb1,
@@ -53,6 +53,14 @@ def test_sd_stepsize_is_rayleigh_reciprocal():
     g = np.array([1.0, 2.0])
     hess_g = np.array([1.0, 4.0])     # A = diag(1, 2)
     assert sd_stepsize(g, hess_g) == pytest.approx(5.0 / 9.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sd_stepsize_rejects_overflowing_denominator():
+    # g'g = 2e306 is finite but g'Ag overflows; the step used to be 0.0
+    g = np.array([1e153, 1e153])
+    with pytest.raises(NumericalFailure, match="g'Ag"):
+        sd_stepsize(g, 100.0 * g)
 
 
 def test_day_on_exact_quadratic_pair():

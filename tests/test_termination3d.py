@@ -223,9 +223,14 @@ def test_direct_route_terminates_3d_quadratics():
         assert alpha == pytest.approx(1.0 / lam[2], rel=1e-9)
 
 
-def test_recurrence_needs_full_history():
+@pytest.mark.parametrize("records", [1, 2, 3])
+def test_recurrence_needs_full_history(records):
+    # the unfilled oldest slots are nan, which the scalar checks reject
     hist = GradientHistory()
     hist.push(1.0)
+    for _ in range(records - 1):
+        hist.set_stepsize(0.1)
+        hist.push(1.0, 0.5, 0.4)
     with pytest.raises(Degenerate):
         recurrence_scalars(hist)
 
@@ -329,9 +334,8 @@ def _solver_histories(kappa):
     def spy(hist):
         snap = GradientHistory()
         for i in (-4, -3, -2, -1):
-            rec = hist.rec(i)
-            snap.push(rec.gnorm_sq, rec.bb1, rec.bb2)
-            snap.set_stepsize(rec.stepsize)
+            snap.push(hist.gnorm_sq[i], hist.bb1[i], hist.bb2[i])
+            snap.set_stepsize(hist.stepsize[i])
         seen.append(snap)
         return real(hist)
 
@@ -394,31 +398,28 @@ def _rule_history(stale=None, degenerate=False):
     """
     _, (hist, _) = _history_case(0, steps=4)
     if stale is not None:
-        hist.rec(stale).bb1 = hist.rec(stale).bb2 = math.nan
+        hist.bb1[stale] = hist.bb2[stale] = math.nan
     if degenerate:
-        hist.rec(-4).stepsize = hist.rec(-3).bb1
+        hist.stepsize[-4] = hist.bb1[-3]
     return hist
 
 
 def test_next_stepsize_warm_up_is_bb1():
     hist = _rule_history()
-    cur = hist.rec(-1)
-    assert next_stepsize(hist, 4, 1.0, 2.0, True) == (cur.bb1, "bb1", 1.0)
+    assert next_stepsize(hist, 4, 1.0, 2.0, True) == (hist.bb1[-1], "bb1", 1.0)
 
 
 def test_next_stepsize_long_step_grows_tau():
     hist = _rule_history()
-    cur = hist.rec(-1)
-    tau = 0.5 * cur.bb2 / cur.bb1
+    tau = 0.5 * hist.bb2[-1] / hist.bb1[-1]
     assert next_stepsize(hist, 6, tau, 1.5, True) == (
-        cur.bb1, "bb1", tau * 1.5)
+        hist.bb1[-1], "bb1", tau * 1.5)
 
 
 def test_next_stepsize_short_new_with_three_fresh_pairs():
     hist = _rule_history()
-    prev, cur = hist.rec(-2), hist.rec(-1)
-    expect = min(prev.bb2, cur.bb2, alpha_new_bb(hist))
-    assert expect < min(prev.bb2, cur.bb2)
+    expect = min(hist.bb2[-2], hist.bb2[-1], alpha_new_bb(hist))
+    assert expect < min(hist.bb2[-2], hist.bb2[-1])
     assert next_stepsize(hist, 6, 1.0, 2.0, True) == (
         expect, "short_new", 0.5)
 
@@ -427,10 +428,10 @@ def test_next_stepsize_short_new_with_three_fresh_pairs():
 def test_next_stepsize_short_bbq(stale, use_new):
     # two fresh pairs, or three with the new step switched off
     hist = _rule_history(stale=stale)
-    prev, cur = hist.rec(-2), hist.rec(-1)
-    expect = min(prev.bb2, cur.bb2,
-                 bbq_stepsize(prev.bb1, cur.bb1, prev.bb2, cur.bb2))
-    assert expect < min(prev.bb2, cur.bb2)
+    expect = min(hist.bb2[-2], hist.bb2[-1],
+                 bbq_stepsize(hist.bb1[-2], hist.bb1[-1],
+                              hist.bb2[-2], hist.bb2[-1]))
+    assert expect < min(hist.bb2[-2], hist.bb2[-1])
     assert next_stepsize(hist, 6, 1.0, 2.0, use_new) == (
         expect, "short_bbq", 0.5)
 
@@ -438,16 +439,15 @@ def test_next_stepsize_short_bbq(stale, use_new):
 def test_next_stepsize_bare_bb2_with_one_fresh_pair():
     hist = _rule_history(stale=-2)
     assert next_stepsize(hist, 6, 1.0, 2.0, True) == (
-        hist.rec(-1).bb2, "short_bb2only", 0.5)
+        hist.bb2[-1], "short_bb2only", 0.5)
 
 
 def test_next_stepsize_degenerate_new_step_leaves_bb2_min():
     hist = _rule_history(degenerate=True)
     with pytest.raises(Degenerate):
         alpha_new_bb(hist)
-    prev, cur = hist.rec(-2), hist.rec(-1)
     assert next_stepsize(hist, 6, 1.0, 2.0, True) == (
-        min(prev.bb2, cur.bb2), "short_bb2", 0.5)
+        min(hist.bb2[-2], hist.bb2[-1]), "short_bb2", 0.5)
 
 
 def test_next_stepsize_none_without_curvature():
@@ -463,4 +463,4 @@ def test_next_stepsize_zero_tau_never_takes_a_short_step(stale, degenerate):
     hist = _rule_history(stale=stale, degenerate=degenerate)
     for k in (4, 5, 50):
         assert next_stepsize(hist, k, 0.0, 2.0, True) == (
-            hist.rec(-1).bb1, "bb1", 0.0)
+            hist.bb1[-1], "bb1", 0.0)

@@ -150,6 +150,18 @@ def test_nonfinite_start_is_invalid_input(bad):
         solve(testfuns.rosenbrock2(), x0=np.array([bad, 1.0]))
 
 
+@pytest.mark.parametrize("f, x0", [
+    (testfuns.sphere(5), [1.0, 2.0]),
+    (testfuns.rosenbrock2(), [[1.0, 2.0]]),
+    (testfuns.rosenbrock2(), [1.0, 2.0, 3.0]),
+], ids=["short", "nested", "long"])
+def test_wrong_dimension_start_is_invalid_input(f, x0):
+    # these reported ok, raised IndexError and raised a broadcast
+    # ValueError
+    with pytest.raises(InvalidInput, match="dimension"):
+        solve(f, x0=x0)
+
+
 def _inf_value(x):
     return math.inf
 
