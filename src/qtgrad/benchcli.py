@@ -15,6 +15,9 @@ Four verbs:
 ``verify3d`` and ``uncbench`` reject values they would not use (set, n,
 eps, tau1 and gamma for the first; set, n, kappa and more than one seed
 for the second, whose test functions each have one fixed start).
+``quadbench`` rejects a grid holding any (set, n, kappa) that
+``quadprob.generate`` would reject, before the first cell runs, and
+generates each problem once for the block of cells that shares it.
 
 The run verbs write ``<out>_runs.csv`` (one row per run) and
 ``<out>_agg.csv`` (per-cell means over solved runs); ``--trace`` adds
@@ -90,6 +93,12 @@ _UNUSED = {
 # the seed column is the replicate index of the start.
 PROBLEM_SEED = 0
 
+# The last problem a quadbench cell generated, under its (set, n, kappa,
+# PROBLEM_SEED) key.  Cells run in grid order, so the cells of one
+# (method, set, n, kappa) block follow each other and generate their
+# problem once.  run_experiment empties it before it returns.
+_last_problem = {}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -125,9 +134,11 @@ class ExperimentSpec:
         if not (self.sets and self.ns and self.kappas and self.epss):
             raise InvalidSpec("grids must be non-empty")
         if self.experiment == "quadbench":
+            # every problem of the grid, before its first cell runs
             for s in self.sets:
-                if s not in quadprob.SET_IDS:
-                    raise InvalidSpec(f"unknown problem set {s}")
+                for n in self.ns:
+                    for kappa in self.kappas:
+                        quadprob.check_spec(s, n, kappa)
         if self.experiment != "verify3d":
             for e in self.epss:
                 if not 0.0 < e < math.inf:
@@ -211,7 +222,12 @@ def _run_cell(cell):
         rep = verify_3d_termination(kappa, method, seed, keep_trace=trace)
         row = _report_row(rep, 0, 3, kappa, 0.0, seed)
     elif exp == "quadbench":
-        p = quadprob.generate(set_key, n, kappa, PROBLEM_SEED)
+        key = (set_key, n, kappa, PROBLEM_SEED)
+        p = _last_problem.get(key)
+        if p is None:
+            _last_problem.clear()
+            p = _last_problem[key] = quadprob.generate(set_key, n, kappa,
+                                                       PROBLEM_SEED)
         x0 = quadprob.starting_point(p, seed)
         kw = {"eps": eps, "keep_trace": trace}
         if tau1 is not None:
@@ -325,18 +341,24 @@ def run_experiment(spec: ExperimentSpec):
 
     Returns the two paths.  Cell execution order never affects the
     output: rows are sorted before writing and each cell is a pure
-    function of its parameters.
+    function of its parameters and PROBLEM_SEED.  A quadbench cell takes
+    its problem from a one-entry cache keyed by both, so each block of
+    cells that shares a problem generates it once; the cache is emptied
+    before this returns, so no problem outlives the grid.
     """
     out_dir = os.path.dirname(spec.out) or "."
     if not os.path.isdir(out_dir):
         raise InvalidSpec(f"output directory {out_dir!r} does not exist")
     cells = _cells(spec)
     workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_cell, cells))
-    else:
-        results = [_run_cell(c) for c in cells]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                results = list(ex.map(_run_cell, cells))
+        else:
+            results = [_run_cell(c) for c in cells]
+    finally:
+        _last_problem.clear()
     rows = [row for row, _ in results]
     traces = [t for _, ts in results for t in ts]
     if spec.zero_times:

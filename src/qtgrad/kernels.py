@@ -14,6 +14,14 @@ per-block partial sums, so above ``BLOCK`` they are summed in a
 different order than a whole-array dot product and can differ from it in
 the last bits.  Up to ``BLOCK`` elements the kernel runs once on the
 whole arrays, the same arithmetic bit for bit.
+
+At small n a step costs numpy call dispatch, not flops, so the kernel
+takes two shortcuts from its caller.  ``alpha`` may be a 0-d float64
+array, which numpy multiplies by at less dispatch cost than a Python
+float; the product is the same.  And the caller may pass the
+pre-scaled spectrum ``gscale * v`` with ``gscale`` 1.0, which skips one
+multiply per step: gscale is 1 or 2, and doubling is exact outside the
+overflow and subnormal ranges, so the gradient is bitwise the same.
 """
 
 import numpy as np
@@ -29,13 +37,14 @@ def backend_name() -> str:
 
 
 def _step_block(v, xstar, x, g_old, g_new, alpha, gscale, y):
-    np.multiply(g_old, alpha, out=y)
-    x -= y
-    np.subtract(x, xstar, out=g_new)
-    g_new *= v
+    # out passed positionally: a keyword costs more to parse per call
+    np.multiply(g_old, alpha, y)
+    np.subtract(x, y, x)
+    np.subtract(x, xstar, g_new)
+    np.multiply(g_new, v, g_new)
     if gscale != 1.0:
-        g_new *= gscale
-    np.subtract(g_new, g_old, out=y)
+        np.multiply(g_new, gscale, g_new)
+    np.subtract(g_new, g_old, y)
     # ndarray.dot sums like @ on 1-d arrays, at less call overhead.
     return float(g_old.dot(y)), float(y.dot(y)), float(g_new.dot(g_new))
 
@@ -45,7 +54,9 @@ def quad_step(v, xstar, x, g_old, g_new, alpha, gscale, y=None):
 
     Returns (g_old'y, y'y, g_new'g_new) where y = g_new - g_old.  The
     caller derives s's and s'y from alpha and ||g_old||^2, which it
-    already has from the previous call.  ``y`` is scratch space of
+    already has from the previous call.  ``alpha`` is a float or a 0-d
+    float64 array; the gradient is ``gscale * v * (x - xstar)``, so ``v``
+    may come pre-scaled with ``gscale`` 1.0.  ``y`` is scratch space of
     min(n, BLOCK) elements; it is allocated here when omitted.
     """
     n = x.shape[0]

@@ -135,18 +135,12 @@ def _spectrum(set_id: int, n: int, kappa: float, rng: np.random.Generator) -> np
         v[-1] = kappa
         v[1:-1] = _open_uniform(rng, 1.0, kappa, n - 2)
     elif set_id == 2:
-        if n % 2 != 0:
-            raise InvalidSpec("set 2 needs even n")
         h = n // 2
         s = np.empty(n)
         s[:h] = _open_uniform(rng, 0.8, 1.0, h)
         s[h:] = _open_uniform(rng, 0.0, 0.2, n - h)
         v = 1.0 + (kappa - 1.0) * s
     elif set_id in (3, 5):
-        if n % 5 != 0:
-            raise InvalidSpec(f"set {set_id} needs n divisible by 5")
-        if kappa < 100.0:
-            raise InvalidSpec(f"set {set_id} needs kappa >= 100")
         v[0] = 1.0
         v[-1] = kappa
         # low group runs through index n/5 for set 3, 4n/5 for set 5
@@ -163,11 +157,11 @@ def _spectrum(set_id: int, n: int, kappa: float, rng: np.random.Generator) -> np
     return v
 
 
-def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
-    """Generate one benchmark problem (TESTQP form).
+def check_spec(set_id: int, n: int, kappa: float) -> None:
+    """Raise InvalidSpec unless :func:`generate` accepts (set_id, n, kappa).
 
-    ``x*`` is uniform on [-10, 10]^n from the (1,) stream; the spectrum
-    comes from the (0,) stream so changing one never perturbs the other.
+    n is an integer of at least 3, kappa lies in (1, inf), set 2 needs
+    an even n, and sets 3 and 5 need n divisible by 5 and kappa >= 100.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise InvalidSpec("n must be an integer")
@@ -177,6 +171,23 @@ def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
         raise InvalidSpec(f"unknown set id {set_id}")
     if not 1.0 < kappa < np.inf:
         raise InvalidSpec("kappa must lie in (1, inf)")
+    if set_id == 2 and n % 2 != 0:
+        raise InvalidSpec("set 2 needs even n")
+    if set_id in (3, 5):
+        if n % 5 != 0:
+            raise InvalidSpec(f"set {set_id} needs n divisible by 5")
+        if kappa < 100.0:
+            raise InvalidSpec(f"set {set_id} needs kappa >= 100")
+
+
+def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
+    """Generate one benchmark problem (TESTQP form).
+
+    ``x*`` is uniform on [-10, 10]^n from the (1,) stream; the spectrum
+    comes from the (0,) stream so changing one never perturbs the other.
+    Raises InvalidSpec where :func:`check_spec` does.
+    """
+    check_spec(set_id, n, kappa)
     spec_rng = _stream(seed, _SPECTRUM_KEY)
     xstar_rng = _stream(seed, _XSTAR_KEY)
     v = _spectrum(set_id, n, kappa, spec_rng)

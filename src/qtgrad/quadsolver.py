@@ -16,7 +16,11 @@ products the stepsize rule needs; everything else in the loop is scalar
 arithmetic on earlier stepsizes and gradient norms.  Each run allocates
 its vectors once: x, the gradient pair g and g_next, which swap roles
 every step, and the kernel's scratch vector y of min(n,
-``kernels.BLOCK``) elements.  The kernel allocates nothing per
+``kernels.BLOCK``) elements.  Up to ``kernels.BLOCK`` elements it also
+keeps vs = grad_scale * spectrum, so that the kernel skips its scaling
+multiply, and at every size a 0-d array a0 that carries each stepsize
+into the kernel at less dispatch cost than a Python float; both leave
+the arithmetic bitwise the same.  The kernel allocates nothing per
 iteration, and the objective value, taken at the end and in traced runs,
 writes x - x* into the idle g_next.
 """
@@ -95,6 +99,13 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     g_next = np.empty_like(x)
     y = np.empty(min(x.shape[0], kernels.BLOCK))
     gg = kernels.quad_gradient(v, xs, x, gscale, g)
+    # the kernel's spectrum and scale: pre-scaled up to BLOCK, where the
+    # copy is small; above it an n-sized copy would cost more memory
+    if x.shape[0] <= kernels.BLOCK:
+        vs, kscale = gscale * v, 1.0
+    else:
+        vs, kscale = v, gscale
+    a0 = np.empty(())   # the stepsize as the kernel takes it
     hist = GradientHistory()
     if gg > 0.0:
         hist.push(gg)
@@ -123,7 +134,8 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     while True:
         gg_old = gg
         hist.set_stepsize(alpha)
-        gy, yy, gg = kernels.quad_step(v, xs, x, g, g_next, alpha, gscale, y)
+        a0[()] = alpha
+        gy, yy, gg = kernels.quad_step(vs, xs, x, g, g_next, a0, kscale, y)
         g, g_next = g_next, g
         it += 1
         rep.count(branch)

@@ -13,8 +13,12 @@ the last three gradients.  Two independent routes produce H:
 
 On a quadratic with exact history both routes give the same matrix up to
 roundoff.  The recurrence route runs in plain floats on the five entries
-of its tridiagonal H; :class:`HMatrix` serves outside input, the direct
-route and inspection.  Both share one solver for the largest root, the
+of its tridiagonal H, and builds no object on the way: its scalars and
+entries are plain tuples, checked by chained comparisons.
+:func:`recurrence_scalars` and :func:`hmatrix_from_recurrence` wrap the
+same arithmetic in :class:`RecurrenceScalars` and :class:`HMatrix` for
+tests and inspection; :class:`HMatrix` also serves outside input and the
+direct route.  The two routes share one solver for the largest root, the
 trigonometric closed form for cubic roots.  :func:`largest_root_quartic`
 solves a symmetric 4x4 by bisection on its characteristic polynomial; no
 solver takes a four-dimensional step.
@@ -36,6 +40,9 @@ _SYM_RTOL = 1e-12
 TOL_DEP = 1e-10
 # |p| under this, relative to tr(H^2), means a triple eigenvalue.
 _P_TOL = 1e-12
+# Bound of the chained finiteness guards: -_INF < x < _INF fails on nan
+# and on either infinity.
+_INF = math.inf
 
 
 def _symmetric(entries, dim: int) -> np.ndarray:
@@ -120,10 +127,19 @@ class GradientHistory:
         """Drop the oldest iterate and append a new one, stepsize unset."""
         if not gnorm_sq > 0.0:
             raise ValueError(f"gnorm_sq = {gnorm_sq} must be positive")
-        for slot, val in ((self.gnorm_sq, gnorm_sq), (self.stepsize, math.nan),
-                          (self.bb1, bb1), (self.bb2, bb2)):
-            del slot[0]
-            slot.append(float(val))
+        # unrolled: a loop over (slot, value) pairs costs twice as much
+        s = self.gnorm_sq
+        del s[0]
+        s.append(float(gnorm_sq))
+        s = self.stepsize
+        del s[0]
+        s.append(math.nan)
+        s = self.bb1
+        del s[0]
+        s.append(float(bb1))
+        s = self.bb2
+        del s[0]
+        s.append(float(bb2))
 
     def set_stepsize(self, stepsize: float) -> None:
         """Record the stepsize taken from the newest iterate."""
@@ -272,24 +288,19 @@ def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,
         project_hessian(u, v, r, hess_vec)).largest_root
 
 
-def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
-    """Closed-form scalars from the four history slots.
+def _scalars(hist: GradientHistory):
+    """The seven fields of :class:`RecurrenceScalars` as a plain tuple.
 
-    With the newest iterate at index k, uses the stepsizes taken at k-3
-    and k-2, BB1 values at k-2, k-1 and k, and the three older gradient
-    norms.  Raises Degenerate when any required scalar is missing (nan,
-    also for a history of fewer than four iterates) or nonpositive, when
-    zeta vanishes (consecutive gradients nearly orthogonal, so delta is
-    unbounded), or when sigma reaches 1 (consecutive gradients nearly
-    parallel).
+    The one copy of the recurrence arithmetic; see
+    :func:`recurrence_scalars` for what it reads and when it raises.
     """
     a3, a2 = hist.stepsize[0], hist.stepsize[1]   # taken at k-3, k-2
     _, b2, b1, b0 = hist.bb1                        # BB1 at k-2, k-1, k
     n3, n2, n1, _ = hist.gnorm_sq
-    for name, val in (("alpha_{k-3}", a3), ("alpha_{k-2}", a2),
-                      ("bb1_{k-2}", b2), ("bb1_{k-1}", b1), ("bb1_k", b0)):
-        if not 0.0 < val < math.inf:
-            raise Degenerate(f"{name} = {val}")
+    if not (0.0 < a3 < _INF and 0.0 < a2 < _INF and 0.0 < b2 < _INF
+            and 0.0 < b1 < _INF and 0.0 < b0 < _INF):
+        raise Degenerate(f"alpha_(k-3), alpha_(k-2) = {a3}, {a2}; "
+                         f"bb1_(k-2), bb1_(k-1), bb1_k = {b2}, {b1}, {b0}")
     t = 1.0 - a3 / b2
     zeta = t * n3 / n2
     if abs(zeta) <= TOL_DEP:
@@ -305,15 +316,35 @@ def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
     varsigma = ((lead / b2 - gamma / a2) * (1.0 - a2 / b1)
                 - (lead / a3) * gamma * (1.0 - sigma))
     g_ar = (1.0 / b0 + gamma / a2) * n1 + varsigma * n2
-    out = RecurrenceScalars(sigma, delta, zeta, gamma, varsigma, g_r, g_ar)
-    for val in out:
-        if not math.isfinite(val):
-            raise Degenerate(f"nonfinite recurrence scalars: {out}")
+    out = sigma, delta, zeta, gamma, varsigma, g_r, g_ar
+    if not (-_INF < sigma < _INF and -_INF < delta < _INF
+            and -_INF < zeta < _INF and -_INF < gamma < _INF
+            and -_INF < varsigma < _INF and -_INF < g_r < _INF
+            and -_INF < g_ar < _INF):
+        raise Degenerate(f"nonfinite recurrence scalars: {out}")
     return out
 
 
-def _recurrence_entries(scal: RecurrenceScalars, hist: GradientHistory):
-    """(h11, h12, h22, h23, h33) of H, h13 = 0; needs g_r > 0, sigma < 1."""
+def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
+    """Closed-form scalars from the four history slots.
+
+    With the newest iterate at index k, uses the stepsizes taken at k-3
+    and k-2, BB1 values at k-2, k-1 and k, and the three older gradient
+    norms.  Raises Degenerate when any required scalar is missing (nan,
+    also for a history of fewer than four iterates) or nonpositive, when
+    zeta vanishes (consecutive gradients nearly orthogonal, so delta is
+    unbounded), or when sigma reaches 1 (consecutive gradients nearly
+    parallel).
+    """
+    return RecurrenceScalars._make(_scalars(hist))
+
+
+def _recurrence_entries(scal, hist: GradientHistory):
+    """(h11, h12, h22, h23, h33) of H, h13 = 0; needs g_r > 0, sigma < 1.
+
+    ``scal`` holds the seven recurrence scalars in the order of
+    :class:`RecurrenceScalars`, as that tuple or a plain one.
+    """
     sigma, delta, _, gamma, _, g_r, g_ar = scal
     if not g_r > 0.0:
         raise Degenerate(f"g_r = {g_r}")
@@ -324,16 +355,15 @@ def _recurrence_entries(scal: RecurrenceScalars, hist: GradientHistory):
     norm3 = math.sqrt(hist.gnorm_sq[0])
     norm2 = math.sqrt(hist.gnorm_sq[1])
     one_minus = 1.0 - sigma
-    entries = (
-        1.0 / b2,
-        -math.sqrt(one_minus) * norm2 / (a3 * norm3),
-        (1.0 / b1 - 2.0 * sigma * delta + sigma / b2) / one_minus,
-        -math.sqrt(g_r) / (a2 * norm2 * math.sqrt(one_minus)),
-        g_ar / g_r + gamma / a2,
-    )
-    for val in entries:
-        if not math.isfinite(val):
-            raise Degenerate(f"nonfinite H entries: {entries}")
+    h11 = 1.0 / b2
+    h12 = -math.sqrt(one_minus) * norm2 / (a3 * norm3)
+    h22 = (1.0 / b1 - 2.0 * sigma * delta + sigma / b2) / one_minus
+    h23 = -math.sqrt(g_r) / (a2 * norm2 * math.sqrt(one_minus))
+    h33 = g_ar / g_r + gamma / a2
+    entries = h11, h12, h22, h23, h33
+    if not (-_INF < h11 < _INF and -_INF < h12 < _INF and -_INF < h22 < _INF
+            and -_INF < h23 < _INF and -_INF < h33 < _INF):
+        raise Degenerate(f"nonfinite H entries: {entries}")
     return entries
 
 
@@ -355,11 +385,12 @@ def hmatrix_from_recurrence(scal: RecurrenceScalars,
 def alpha_new_bb(hist: GradientHistory) -> float:
     """Three-dimensional quadratic-termination stepsize, recurrence route.
 
-    Plain float arithmetic throughout.  Every failure mode (short
-    history, degenerate scalars, g_r <= 0, indefinite or ill-posed H)
-    surfaces as Degenerate so callers have a single fallback path.
+    Plain float arithmetic throughout, with no intermediate object: the
+    scalars stay a plain tuple.  Every failure mode (short history,
+    degenerate scalars, g_r <= 0, indefinite or ill-posed H) surfaces as
+    Degenerate so callers have a single fallback path.
     """
-    entries = _recurrence_entries(recurrence_scalars(hist), hist)
+    entries = _recurrence_entries(_scalars(hist), hist)
     return 1.0 / _largest_root(*_tridiagonal_invariants(*entries))[3]
 
 

@@ -131,6 +131,12 @@ def test_print_config_roundtrips(tmp_path, capsys):
     dict(epss=(-1.0,)),
     dict(epss=(1e-8, math.nan)),
     dict(experiment="uncbench", methods=("alg1",), epss=(math.inf,)),
+    # grid combinations quadprob.generate rejects, caught before any cell
+    dict(sets=(1, 3), ns=(1000, 1001), kappas=(1e6,)),
+    dict(sets=(3,), ns=(20,), kappas=(50.0,)),
+    dict(sets=(2,), ns=(20, 21)),
+    dict(ns=(2,)),
+    dict(kappas=(100.0, 1.0)),
 ])
 def test_spec_validation_rejects(tmp_path, kw):
     with pytest.raises(InvalidSpec):
@@ -221,6 +227,51 @@ def test_quadbench_parallel_matches_serial(tmp_path, monkeypatch):
     spec2 = spec_for(tmp_path, out=str(tmp_path / "par"))
     runs2, _ = run_experiment(spec2)
     assert open(runs2, "rb").read() == serial
+
+
+def _fresh_problem_csv(spec, path):
+    """The runs CSV of spec with a freshly generated problem for every cell."""
+    rows = []
+    for cell in benchcli._cells(spec):
+        benchcli._last_problem.clear()
+        row, _ = benchcli._run_cell(cell)
+        row["time_ms"] = 0.0
+        rows.append(row)
+    rows.sort(key=benchcli._sort_key)
+    benchcli._write_csv(path, RAW_COLUMNS, rows)
+    return open(path, "rb").read()
+
+
+def test_cached_problems_match_fresh_ones(tmp_path, monkeypatch):
+    spec = spec_for(tmp_path, sets=(1, 4), kappas=(100.0, 1e3))
+    csvs = {}
+    for problem_seed in (0, 1):
+        monkeypatch.setattr(benchcli, "PROBLEM_SEED", problem_seed)
+        runs_path, _ = run_experiment(spec)
+        assert benchcli._last_problem == {}
+        csvs[problem_seed] = open(runs_path, "rb").read()
+        assert csvs[problem_seed] == _fresh_problem_csv(
+            spec, str(tmp_path / f"fresh{problem_seed}.csv"))
+    assert csvs[0] != csvs[1]
+
+
+def test_each_block_of_cells_generates_its_problem_once(tmp_path,
+                                                        monkeypatch):
+    calls = []
+    real = benchcli.quadprob.generate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(benchcli.quadprob, "generate", counting)
+    spec = spec_for(tmp_path, sets=(1, 4), kappas=(100.0, 1e3),
+                    epss=(1e-6, 1e-8), seeds=3)
+    run_experiment(spec)
+    blocks = [(s, 20, k, benchcli.PROBLEM_SEED)
+              for _ in spec.methods for s in spec.sets for k in spec.kappas]
+    assert calls == blocks
+    assert benchcli._last_problem == {}
 
 
 def test_bad_worker_env_is_rejected(tmp_path, monkeypatch):
@@ -429,8 +480,19 @@ def test_main_exit_codes(tmp_path, capsys):
     ["uncbench", "--kappa", "7"],
     ["verify3d", "--eps", "5"],
     ["verify3d", "--preset", "table3-set1-new"],
+    # grids with a problem quadprob.generate rejects: these used to fail
+    # only at that problem's first cell, after every cell before it ran
+    ["quadbench", "--set", "1,3", "--n", "1000,1001", "--kappa", "1e6",
+     "--methods", "bb,new", "--seeds", "20"],
+    ["quadbench", "--set", "3", "--kappa", "50"],
+    ["quadbench", "--n", "2"],
 ])
-def test_main_rejects_flags_the_verb_ignores(tmp_path, capsys, argv):
+def test_main_rejects_flags_the_verb_ignores(tmp_path, capsys, monkeypatch,
+                                             argv):
+    def no_cells(cell):
+        raise AssertionError("a cell ran before the spec was rejected")
+
+    monkeypatch.setattr(benchcli, "_run_cell", no_cells)
     out = tmp_path / "ignored"
     assert main(argv + ["--out", str(out)]) == 2
     assert "qtgrad: error:" in capsys.readouterr().err
