@@ -12,11 +12,14 @@ with ``--zero-times``, in a temporary directory:
   --eps 1e-6 --methods bb,new,bbq --seeds 20``;
 * a traced grid, ``quadbench --set 1,4 --n 100 --kappa 1e4 --eps 1e-6
   --methods bb,new,bbq --seeds 3 --trace``;
+* the solver's blocked path above ``kernels.BLOCK``, ``quadbench --set 1
+  --n 40000 --kappa 1e2 --eps 1e-6 --methods bb,new --seeds 2``;
 * ``uncbench --methods alg1,alg1-bbq --eps 1e-6 --trace``;
-* ``verify3d --kappa 100,1e4 --seeds 10``.
+* ``verify3d --kappa 1.5,100,1e4,1e300 --seeds 10``, whose kappa 1e300
+  rows overflow.
 
-It prints one ``sha256  file`` line per CSV, ten in all, and takes
-about 3 s.  Two source trees whose arithmetic agrees print the same
+It prints one ``sha256  file`` line per CSV, twelve in all, and takes
+about 4 s.  Two source trees whose arithmetic agrees print the same
 lines, so running it on the parent's ``src`` and on a change's ``src``
 and comparing the output checks that the change left every output byte
 for byte as it was.
@@ -36,9 +39,11 @@ RUNS = (
     ("traced", ["quadbench", "--set", "1,4", "--n", "100", "--kappa", "1e4",
                 "--eps", "1e-6", "--methods", "bb,new,bbq", "--seeds", "3",
                 "--trace"]),
+    ("blocked", ["quadbench", "--set", "1", "--n", "40000", "--kappa", "1e2",
+                 "--eps", "1e-6", "--methods", "bb,new", "--seeds", "2"]),
     ("unc", ["uncbench", "--methods", "alg1,alg1-bbq", "--eps", "1e-6",
              "--trace"]),
-    ("v3d", ["verify3d", "--kappa", "100,1e4", "--seeds", "10"]),
+    ("v3d", ["verify3d", "--kappa", "1.5,100,1e4,1e300", "--seeds", "10"]),
 )
 
 

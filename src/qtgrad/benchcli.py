@@ -90,11 +90,12 @@ _UNUSED = {
 }
 
 # quadbench fixes the problem instance and varies the starting point, so
-# the seed column is the replicate index of the start.
+# the seed column is the replicate index of the start.  _cells reads it
+# into every cell, so pool workers never read their own copy.
 PROBLEM_SEED = 0
 
 # The last problem a quadbench cell generated, under its (set, n, kappa,
-# PROBLEM_SEED) key.  Cells run in grid order, so the cells of one
+# problem seed) key.  Cells run in grid order, so the cells of one
 # (method, set, n, kappa) block follow each other and generate their
 # problem once.  run_experiment empties it before it returns.
 _last_problem = {}
@@ -217,17 +218,16 @@ def _unc_fn(name: str):
 
 def _run_cell(cell):
     """Execute one (method, problem, seed) cell; must stay picklable."""
-    exp, method, set_key, n, kappa, eps, seed, tau1, gamma, trace = cell
+    exp, method, set_key, n, kappa, eps, seed, pseed, tau1, gamma, trace = cell
     if exp == "verify3d":
         rep = verify_3d_termination(kappa, method, seed, keep_trace=trace)
         row = _report_row(rep, 0, 3, kappa, 0.0, seed)
     elif exp == "quadbench":
-        key = (set_key, n, kappa, PROBLEM_SEED)
+        key = (set_key, n, kappa, pseed)
         p = _last_problem.get(key)
         if p is None:
             _last_problem.clear()
-            p = _last_problem[key] = quadprob.generate(set_key, n, kappa,
-                                                       PROBLEM_SEED)
+            p = _last_problem[key] = quadprob.generate(*key)
         x0 = quadprob.starting_point(p, seed)
         kw = {"eps": eps, "keep_trace": trace}
         if tau1 is not None:
@@ -254,13 +254,14 @@ def _run_cell(cell):
 
 
 def _cells(spec: ExperimentSpec):
+    pseed = PROBLEM_SEED
     out = []
     for method in spec.methods:
         if spec.experiment == "verify3d":
             for kappa in spec.kappas:
                 for seed in range(spec.seeds):
                     out.append(("verify3d", method, 0, 3, kappa, 0.0,
-                                seed, None, None, spec.trace))
+                                seed, pseed, None, None, spec.trace))
         elif spec.experiment == "quadbench":
             for set_id in spec.sets:
                 for n in spec.ns:
@@ -268,15 +269,16 @@ def _cells(spec: ExperimentSpec):
                         for eps in spec.epss:
                             for seed in range(spec.seeds):
                                 out.append(("quadbench", method, set_id, n,
-                                            kappa, eps, seed, spec.tau1,
-                                            spec.gamma, spec.trace))
+                                            kappa, eps, seed, pseed,
+                                            spec.tau1, spec.gamma,
+                                            spec.trace))
         else:
             for f in testfuns.builtin_suite():
                 for eps in spec.epss:
                     for seed in range(spec.seeds):
                         out.append(("uncbench", method, f.name,
-                                    f.dimension, 0.0, eps, seed, spec.tau1,
-                                    spec.gamma, spec.trace))
+                                    f.dimension, 0.0, eps, seed, pseed,
+                                    spec.tau1, spec.gamma, spec.trace))
     return out
 
 
@@ -341,10 +343,11 @@ def run_experiment(spec: ExperimentSpec):
 
     Returns the two paths.  Cell execution order never affects the
     output: rows are sorted before writing and each cell is a pure
-    function of its parameters and PROBLEM_SEED.  A quadbench cell takes
-    its problem from a one-entry cache keyed by both, so each block of
-    cells that shares a problem generates it once; the cache is emptied
-    before this returns, so no problem outlives the grid.
+    function of its parameters, PROBLEM_SEED among them.  A quadbench
+    cell takes its problem from a one-entry cache keyed by the problem's
+    parameters, so each block of cells that shares a problem generates
+    it once; the cache is emptied before this returns, so no problem
+    outlives the grid.
     """
     out_dir = os.path.dirname(spec.out) or "."
     if not os.path.isdir(out_dir):

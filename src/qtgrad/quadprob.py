@@ -1,17 +1,13 @@
 """Diagonal quadratic test problems for the benchmark.
 
-Two functional forms are used:
+Every problem is f(x) = (x - x*)' diag(v) (x - x*), with gradient
+2 diag(v)(x - x*).  The Hessian is 2 diag(v), so the eigenvalues are 2 v_j.
 
-* ``TESTQP``:   f(x) = (x - x*)' diag(v) (x - x*), gradient 2 diag(v)(x - x*).
-  The Hessian is 2 diag(v), so the eigenvalues are 2 v_j.
-* ``HALFFORM``: f(x) = x' diag(v) x / 2 with x* = 0, gradient diag(v) x.
-  The Hessian is diag(v) itself.
-
-Benchmark problems are TESTQP with one of five spectrum recipes (``SET_IDS``):
-sets 1, 3 and 5 pin v_1 = 1 and v_n = kappa with random interiors, set 2 draws
-two clusters near 1 and near kappa, and set 4 is the deterministic geometric
-ladder kappa^((n-j)/(n-1)).  The tiny verification problems are HALFFORM with
-spectrum (1, kappa/2, kappa).
+Benchmark problems take one of five spectrum recipes (``SET_IDS``): sets 1,
+3 and 5 pin v_1 = 1 and v_n = kappa with random interiors, set 2 draws two
+clusters near 1 and near kappa, and set 4 is the deterministic geometric
+ladder kappa^((n-j)/(n-1)).  The tiny verification problem has x* = 0 and
+spectrum (1/2, kappa/4, kappa/2), so its Hessian is diag(1, kappa/2, kappa).
 
 Randomness: a single integer seed feeds ``numpy.random.SeedSequence``;
 independent streams are split off with spawn keys so that the spectrum,
@@ -27,7 +23,6 @@ any sample that lands exactly on an endpoint.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,23 +36,21 @@ _XSTAR_KEY = (1,)
 _START_KEY = 2
 
 
-class Form(enum.Enum):
-    TESTQP = "testqp"
-    HALFFORM = "halfform"
-
-
 @dataclass(frozen=True)
 class QuadraticProblem:
     """A diagonal quadratic with known solution.
 
     ``spectrum`` is the diagonal v, not the Hessian eigenvalues; those are
-    ``grad_scale * v``.  ``gen_kappa`` is the kappa the generator was asked
-    for; the realized condition number is ``kappa``.
+    ``grad_scale * v``.  f = ``value_scale`` (x - x*)' diag(v) (x - x*).
+    ``gen_kappa`` is the kappa the generator was asked for; the realized
+    condition number is ``kappa``.
     """
+
+    grad_scale = 2.0
+    value_scale = 1.0
 
     spectrum: np.ndarray
     x_star: np.ndarray
-    form: Form
     set_id: int = 0
     gen_kappa: float = 0.0
     seed: int = 0
@@ -83,14 +76,6 @@ class QuadraticProblem:
     def kappa(self) -> float:
         """Realized condition number max(v) / min(v)."""
         return float(self.spectrum.max() / self.spectrum.min())
-
-    @property
-    def grad_scale(self) -> float:
-        return 2.0 if self.form is Form.TESTQP else 1.0
-
-    @property
-    def value_scale(self) -> float:
-        return 1.0 if self.form is Form.TESTQP else 0.5
 
     @property
     def hessian_diag(self) -> np.ndarray:
@@ -181,7 +166,7 @@ def check_spec(set_id: int, n: int, kappa: float) -> None:
 
 
 def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
-    """Generate one benchmark problem (TESTQP form).
+    """Generate one benchmark problem.
 
     ``x*`` is uniform on [-10, 10]^n from the (1,) stream; the spectrum
     comes from the (0,) stream so changing one never perturbs the other.
@@ -192,21 +177,17 @@ def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
     xstar_rng = _stream(seed, _XSTAR_KEY)
     v = _spectrum(set_id, n, kappa, spec_rng)
     x_star = xstar_rng.uniform(-10.0, 10.0, size=n)
-    return QuadraticProblem(
-        spectrum=v, x_star=x_star, form=Form.TESTQP,
-        set_id=set_id, gen_kappa=float(kappa), seed=int(seed),
-    )
+    return QuadraticProblem(spectrum=v, x_star=x_star, set_id=set_id,
+                            gen_kappa=float(kappa), seed=int(seed))
 
 
 def verification_problem(kappa: float) -> QuadraticProblem:
-    """The 3-d HALFFORM problem diag(1, kappa/2, kappa) with x* = 0."""
+    """The 3-d problem with Hessian diag(1, kappa/2, kappa) and x* = 0."""
     if not 1.0 < kappa < np.inf:
         raise InvalidSpec("kappa must lie in (1, inf)")
-    v = np.array([1.0, kappa / 2.0, kappa])
-    return QuadraticProblem(
-        spectrum=v, x_star=np.zeros(3), form=Form.HALFFORM,
-        set_id=0, gen_kappa=float(kappa), seed=0,
-    )
+    v = np.array([0.5, kappa / 4.0, kappa / 2.0])
+    return QuadraticProblem(spectrum=v, x_star=np.zeros(3),
+                            gen_kappa=float(kappa))
 
 
 def starting_point(p: QuadraticProblem, replicate: int) -> np.ndarray:

@@ -47,6 +47,9 @@ from .report import (
 from .stepsizes import StepPair, bb1, bb2, bbq_stepsize, day_stepsize, sd_stepsize
 from .termination3d import GradientHistory, alpha_new_direct, gram_schmidt3, next_stepsize
 
+# Iteration budget of one run.
+MAX_ITER = 50000
+
 
 @dataclass(frozen=True)
 class QuadSolverConfig:
@@ -55,7 +58,7 @@ class QuadSolverConfig:
     ``tau1`` is the starting threshold of the adaptive rule and ``gamma``
     its growth and shrink factor.  ``eps`` is the relative gradient-norm
     reduction target, the run stops at ||g_k|| <= eps ||g_1||, or after
-    ``max_iter`` iterations.  ``use_new_step`` switches the short branch
+    ``MAX_ITER`` iterations.  ``use_new_step`` switches the short branch
     of solve_new between the three-dimensional stepsize (True) and the
     BBQ stepsize alone (False), which gives the BBQ comparison method.
     ``keep_trace`` records every iteration.  The stepsize tolerances are
@@ -65,7 +68,6 @@ class QuadSolverConfig:
     tau1: float = 0.5
     gamma: float = 1.0
     eps: float = 1e-9
-    max_iter: int = 50000
     use_new_step: bool = True
     keep_trace: bool = False
 
@@ -83,7 +85,9 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     """One exact SD step, then the adaptive rule from threshold tau.
 
     A starting g'g, or a g'Ag of the SD step, that is not finite ends the
-    run at iteration 0 with status "nonfinite".  The kernels,
+    run at iteration 0 with status "nonfinite"; a g'g that overflows later
+    ends it where the rule finds no curvature, which its first non-finite
+    g'g always brings about (its BB1 is 0 or nan).  The kernels,
     ``sd_stepsize``, ``next_stepsize`` and ``hist.set_stepsize`` are
     looked up at every call, never hoisted, so that wrappers patched onto
     them see every call.
@@ -154,11 +158,14 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
                 bb1=new_bb1, bb2=new_bb2, tau=tau))
         if math.sqrt(gg) <= gtol:
             return finish(STATUS_OK)
-        if it >= cfg.max_iter:
+        if it >= MAX_ITER:
             return finish(STATUS_MAXITER, "iteration budget exhausted")
         nxt, branch, tau = next_stepsize(hist, it + 1, tau, cfg.gamma,
                                          cfg.use_new_step)
         if nxt is None:
+            if not math.isfinite(gg):
+                return finish(STATUS_NONFINITE,
+                              f"gradient not finite at iteration {it}")
             branch = "fallback"
         else:
             alpha = nxt

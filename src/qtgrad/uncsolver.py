@@ -38,6 +38,12 @@ ETA = 0.5
 MAX_BACKTRACKS = 60
 # Iterations without a new best value before the reference value resets.
 REF_CAP = 3
+# Every trial stepsize is clamped into [ALPHA_MIN, ALPHA_MAX].
+ALPHA_MIN = 1e-10
+ALPHA_MAX = 1e6
+# Budgets: iterations and objective values of one run.
+MAX_ITER = 200000
+MAX_FEVALS = 1000000
 
 
 @dataclass(frozen=True)
@@ -126,28 +132,22 @@ def dai_fletcher_search(f, x, g, d, alpha0, f_r, delta=DELTA, eta=ETA,
 class UncSolverConfig:
     """Knobs for the globalized solver.
 
-    Trial stepsizes are clamped into [``alpha_min``, ``alpha_max``];
     ``tau1`` and ``gamma`` start and scale the adaptive threshold.  The
-    run stops at ||g||_inf <= ``eps_inf``, or after ``max_iter``
-    iterations or ``max_fevals`` values.  ``use_new_step`` picks alg1 over
+    run stops at ||g||_inf <= ``eps_inf``, or after ``MAX_ITER``
+    iterations or ``MAX_FEVALS`` values.  ``use_new_step`` picks alg1 over
     alg1-bbq; ``keep_trace`` records every iteration.  Constants: this
-    module's ``DELTA``, ``ETA``, ``MAX_BACKTRACKS`` and ``REF_CAP``,
+    module's ``ALPHA_MIN``, ``ALPHA_MAX``, ``MAX_ITER``, ``MAX_FEVALS``,
+    ``DELTA``, ``ETA``, ``MAX_BACKTRACKS`` and ``REF_CAP``,
     ``stepsizes.TOL_DEN`` and ``termination3d.TOL_DEP``.
     """
 
-    alpha_min: float = 1e-10
-    alpha_max: float = 1e6
     tau1: float = 0.65
     gamma: float = 1.4
     eps_inf: float = 1e-6
-    max_iter: int = 200000
-    max_fevals: int = 1000000
     use_new_step: bool = True
     keep_trace: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_min < self.alpha_max:
-            raise ValueError("need 0 < alpha_min < alpha_max")
         if self.gamma < 1.0:
             raise ValueError("gamma must be at least 1")
         if not 0.0 < self.eps_inf < math.inf:
@@ -168,7 +168,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     all have positive curvature, the BBQ step when only two do, bare BB2
     otherwise, with tau shrunk or grown by gamma.  When the newest pair
     has s'y <= 0 the trial resets to min(1, ||x||_inf) / ||g||_inf.  Every
-    trial is clamped into [alpha_min, alpha_max].  Stops at
+    trial is clamped into [ALPHA_MIN, ALPHA_MAX].  Stops at
     ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
     aborts with its diagnostic.  A starting point that is not finite, or
     whose shape is not (f.dimension,), raises InvalidInput.  A value or
@@ -210,7 +210,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         return finish(STATUS_OK)
     xinf = _norm_inf(x)
     alpha = (xinf / ginf) if xinf > 0.0 else (1.0 / ginf)
-    alpha = min(max(alpha, cfg.alpha_min), cfg.alpha_max)
+    alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
     branch = "init"
     tau = cfg.tau1
 
@@ -256,13 +256,13 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
 
         if ginf <= cfg.eps_inf:
             return finish(STATUS_OK)
-        if rep.iterations >= cfg.max_iter:
+        if rep.iterations >= MAX_ITER:
             return finish(STATUS_MAXITER, "iteration budget exhausted")
-        if rep.nfe >= cfg.max_fevals:
+        if rep.nfe >= MAX_FEVALS:
             return finish(STATUS_FEVAL_BUDGET, "function evaluation budget exhausted")
 
         alpha, branch, tau = next_stepsize(
             hist, rep.iterations + 1, tau, cfg.gamma, cfg.use_new_step)
         if alpha is None:
             alpha = min(1.0 / ginf, _norm_inf(x) / ginf)
-        alpha = min(max(alpha, cfg.alpha_min), cfg.alpha_max)
+        alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)

@@ -2,7 +2,10 @@
 
 import argparse
 import csv
+import functools
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -227,6 +230,20 @@ def test_quadbench_parallel_matches_serial(tmp_path, monkeypatch):
     spec2 = spec_for(tmp_path, out=str(tmp_path / "par"))
     runs2, _ = run_experiment(spec2)
     assert open(runs2, "rb").read() == serial
+
+
+def test_spawned_pool_uses_the_problem_seed(tmp_path, monkeypatch):
+    # spawn and forkserver workers import benchcli afresh, so they see the
+    # PROBLEM_SEED set here only through the cells
+    spec = spec_for(tmp_path, sets=(1, 4))
+    seed0 = open(run_experiment(spec)[0], "rb").read()
+    monkeypatch.setattr(benchcli, "PROBLEM_SEED", 1)
+    serial = open(run_experiment(spec)[0], "rb").read()
+    assert serial != seed0
+    monkeypatch.setattr(benchcli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    monkeypatch.setenv("QTGRAD_WORKERS", "2")
+    assert open(run_experiment(spec)[0], "rb").read() == serial
 
 
 def _fresh_problem_csv(spec, path):

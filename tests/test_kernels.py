@@ -13,8 +13,8 @@ def _random_case(seed, gscale, n=64):
     return v, xs, x, g
 
 
-# gscale 2.0 is the TESTQP form, 1.0 the HALFFORM form, which skips the
-# scaling multiply.
+# gscale 2.0 is the problems' gradient scale; 1.0 is how the solver calls
+# the kernel on a pre-scaled spectrum, which skips the scaling multiply.
 @pytest.mark.parametrize("gscale", [1.0, 2.0])
 def test_kernel_matches_dense_formulas(gscale):
     v, xs, x, g = _random_case(0, gscale)

@@ -5,7 +5,6 @@ import pytest
 
 from qtgrad import quadprob
 from qtgrad.errors import InvalidSpec
-from qtgrad.quadprob import Form
 
 
 def test_value_gradient_hessvec_against_dense():
@@ -17,14 +16,14 @@ def test_value_gradient_hessvec_against_dense():
     np.testing.assert_allclose(quadprob.hess_vec(p, d), 2.0 * p.spectrum * d, rtol=1e-14)
 
 
-def test_halfform_scaling():
+def test_verification_problem_hessian():
+    # f = x' H x / 2 with H = diag(1, kappa/2, kappa) and x* = 0
     p = quadprob.verification_problem(10.0)
     x = np.array([1.0, 2.0, -1.0])
-    v = p.spectrum
-    assert quadprob.value(p, x) == pytest.approx(0.5 * float(x @ (v * x)))
-    np.testing.assert_allclose(quadprob.gradient(p, x), v * x)
-    assert p.form is Form.HALFFORM
-    np.testing.assert_allclose(v, [1.0, 5.0, 10.0])
+    h = p.hessian_diag
+    assert quadprob.value(p, x) == pytest.approx(0.5 * float(x @ (h * x)))
+    np.testing.assert_allclose(quadprob.gradient(p, x), h * x)
+    np.testing.assert_allclose(h, [1.0, 5.0, 10.0])
     np.testing.assert_allclose(p.x_star, 0.0)
 
 
@@ -110,7 +109,7 @@ def test_verification_problem_rejects_bad_kappa(kappa):
 def test_problem_validation():
     with pytest.raises(InvalidSpec):
         quadprob.QuadraticProblem(
-            spectrum=np.array([1.0, -2.0]), x_star=np.zeros(2), form=Form.TESTQP)
+            spectrum=np.array([1.0, -2.0]), x_star=np.zeros(2))
     with pytest.raises(InvalidSpec):
         quadprob.QuadraticProblem(
-            spectrum=np.array([1.0, 2.0]), x_star=np.zeros(3), form=Form.TESTQP)
+            spectrum=np.array([1.0, 2.0]), x_star=np.zeros(3))

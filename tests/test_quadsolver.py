@@ -15,7 +15,6 @@ import pytest
 from qtgrad import kernels, quadsolver, termination3d
 from qtgrad.quadprob import (
     SET_IDS,
-    Form,
     QuadraticProblem,
     generate,
     gradient,
@@ -31,19 +30,19 @@ from qtgrad.quadsolver import (
 from qtgrad.report import STATUS_MAXITER, STATUS_NONFINITE, STATUS_OK
 from qtgrad.termination3d import GradientHistory
 
+from oracles import reference_trajectory
 from replay import SHORT_BRANCHES, replay_branches
 
 
-def halfform(v, x_star=None):
-    v = np.asarray(v, dtype=float)
-    if x_star is None:
-        x_star = np.zeros_like(v)
-    return QuadraticProblem(spectrum=v, x_star=x_star, form=Form.HALFFORM)
+def with_hessian(h):
+    """The quadratic with Hessian diag(h) and minimizer 0."""
+    v = 0.5 * np.asarray(h, dtype=float)
+    return QuadraticProblem(spectrum=v, x_star=np.zeros_like(v))
 
 
 def test_first_step_is_exact_sd():
     # g = (1, 2), so g'g = 5 and g'Ag = 1 + 8 = 9
-    p = halfform([1.0, 2.0])
+    p = with_hessian([1.0, 2.0])
     rep = solve_new(p, [1.0, 1.0], QuadSolverConfig(keep_trace=True))
     first = rep.trace[0]
     assert first.branch == "sd"
@@ -51,7 +50,7 @@ def test_first_step_is_exact_sd():
 
 
 def test_second_step_is_bb1_of_first_pair():
-    p = halfform([1.0, 2.0])
+    p = with_hessian([1.0, 2.0])
     x0 = np.array([1.0, 1.0])
     rep = solve_new(p, x0, QuadSolverConfig(keep_trace=True))
     a1 = rep.trace[0].stepsize
@@ -65,7 +64,7 @@ def test_second_step_is_bb1_of_first_pair():
 
 
 def test_one_dimensional_quadratic_takes_one_step():
-    rep = solve_bb(halfform([3.0]), [2.0], QuadSolverConfig())
+    rep = solve_bb(with_hessian([3.0]), [2.0], QuadSolverConfig())
     assert rep.status == STATUS_OK
     assert rep.iterations == 1
     assert rep.branch_counts == {"sd": 1}
@@ -73,7 +72,7 @@ def test_one_dimensional_quadratic_takes_one_step():
 
 
 def test_start_at_minimizer_reports_zero_iterations():
-    p = halfform([1.0, 4.0, 9.0])
+    p = with_hessian([1.0, 4.0, 9.0])
     rep = solve_new(p, p.x_star, QuadSolverConfig())
     assert rep.status == STATUS_OK
     assert rep.iterations == 0
@@ -242,7 +241,7 @@ def test_every_set_solves_to_tolerance(set_id):
 
 def test_eps_measures_relative_reduction():
     v = np.linspace(1.0, 50.0, 30)
-    p = halfform(v)
+    p = with_hessian(v)
     x0 = 1e5 * np.ones(30)
     g1 = float(np.linalg.norm(gradient(p, x0)))
     rep = solve_new(p, x0, QuadSolverConfig(eps=1e-2))
@@ -254,10 +253,11 @@ def test_eps_measures_relative_reduction():
     assert tighter.iterations > rep.iterations
 
 
-def test_iteration_budget_reported():
+def test_iteration_budget_reported(monkeypatch):
+    monkeypatch.setattr(quadsolver, "MAX_ITER", 3)
     p = generate(1, 50, 1e4, seed=1)
     x0 = starting_point(p, 0)
-    rep = solve_bb(p, x0, QuadSolverConfig(max_iter=3))
+    rep = solve_bb(p, x0, QuadSolverConfig())
     assert rep.status == STATUS_MAXITER
     assert rep.iterations == 3
     assert rep.message
@@ -298,6 +298,34 @@ def test_overflowing_start_gradient_reports_nonfinite(solver, index, big):
     assert rep.status == STATUS_NONFINITE
     assert not rep.solved
     assert rep.iterations == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_gradient_overflowing_mid_run_reports_nonfinite(solver):
+    # g'g is finite at the start and after the SD step, then overflows;
+    # the run used to take 49,998 fallback steps on inf/nan to maxiter
+    p = QuadraticProblem(spectrum=np.array([1.0, 1e12]), x_star=np.zeros(2))
+    rep = solver(p, [1e150, 1e128])
+    assert rep.status == STATUS_NONFINITE
+    assert not rep.solved
+    assert rep.iterations == 2
+    assert "fallback" not in rep.branch_counts
+
+
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_blocked_path_follows_reference_trajectory(solver):
+    # above kernels.BLOCK the solver hands the kernel the unscaled
+    # spectrum with gscale 2.0 and runs it block by block
+    p = generate(1, kernels.BLOCK + 7, 1e2, seed=0)
+    x0 = starting_point(p, 0)
+    rep = solver(p, x0, QuadSolverConfig(eps=1e-6, keep_trace=True))
+    assert rep.status == STATUS_OK
+    grads = reference_trajectory(p.spectrum, p.x_star, x0,
+                                 [row.stepsize for row in rep.trace])
+    for row, g in zip(rep.trace, grads[1:]):
+        assert row.gnorm == pytest.approx(float(np.linalg.norm(g)),
+                                          rel=1e-12)
 
 
 def test_config_rejects_bad_knobs():

@@ -133,11 +133,12 @@ def test_lying_objective_fails_line_search():
     assert "no acceptable step" in rep.message
 
 
-def test_concave_region_uses_nocurv_branch():
+def test_concave_region_uses_nocurv_branch(monkeypatch):
     # f = -x^2/2 keeps s'y negative, the curvature-free reset must kick in
+    monkeypatch.setattr(unc, "MAX_ITER", 2)
     f = ObjectiveFn("cave", 1, lambda x: float(-0.5 * x[0] ** 2),
                     lambda x: np.array([-x[0]]), np.array([1.0]))
-    rep = solve(f, cfg=UncSolverConfig(max_iter=2, keep_trace=True))
+    rep = solve(f, cfg=UncSolverConfig(keep_trace=True))
     assert rep.status == STATUS_MAXITER
     assert rep.trace[1].branch == "nocurv"
     assert rep.trace[1].stepsize == 0.5
@@ -230,8 +231,9 @@ def test_infinite_trial_value_is_a_rejected_trial():
     assert rep.nfe > rep.iterations + 1
 
 
-def test_feval_budget_status():
-    rep = solve(testfuns.rosenbrock2(), cfg=UncSolverConfig(max_fevals=2))
+def test_feval_budget_status(monkeypatch):
+    monkeypatch.setattr(unc, "MAX_FEVALS", 2)
+    rep = solve(testfuns.rosenbrock2())
     assert rep.status == STATUS_FEVAL_BUDGET
     assert rep.nfe >= 2
 
@@ -245,15 +247,15 @@ def test_trial_stepsizes_are_clamped(monkeypatch):
         return real(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks)
 
     monkeypatch.setattr(unc, "_search", spy)
-    cfg = UncSolverConfig(alpha_min=1e-3, alpha_max=2.0, max_iter=2000)
-    solve(testfuns.rosenbrock2(), cfg=cfg)
+    monkeypatch.setattr(unc, "ALPHA_MIN", 1e-3)
+    monkeypatch.setattr(unc, "ALPHA_MAX", 2.0)
+    monkeypatch.setattr(unc, "MAX_ITER", 2000)
+    solve(testfuns.rosenbrock2())
     assert seen
     assert all(1e-3 <= a <= 2.0 for a in seen)
 
 
 def test_config_rejects_bad_knobs():
-    with pytest.raises(ValueError):
-        UncSolverConfig(alpha_min=1.0, alpha_max=0.5)
     with pytest.raises(ValueError):
         UncSolverConfig(gamma=0.99)
     for eps in (0.0, -1.0, math.nan, math.inf):
@@ -288,7 +290,7 @@ def test_alg1_branches_match_quadratic_rule(use_new):
     gg_rows = _exact_gnorm_sq_along(f, f.x0, rep.trace)
     expect = replay_branches(rep.trace, float(g1 @ g1), cfg.tau1, cfg.gamma,
                              use_new_step=use_new, rule="unc",
-                             clamp=(cfg.alpha_min, cfg.alpha_max),
+                             clamp=(unc.ALPHA_MIN, unc.ALPHA_MAX),
                              gnorm_sq=gg_rows)
     assert len(expect) == len(rep.trace)
     for i, (row, (branch, alpha, tau)) in enumerate(zip(rep.trace, expect)):
