@@ -16,13 +16,17 @@ products the stepsize rule needs; everything else in the loop is scalar
 arithmetic on earlier stepsizes and gradient norms.  Each run allocates
 its vectors once: x, the gradient pair g and g_next, which swap roles
 every step, and the kernel's scratch vector y of min(n,
-``kernels.BLOCK``) elements.  Up to ``kernels.BLOCK`` elements it also
-keeps vs = grad_scale * spectrum, so that the kernel skips its scaling
-multiply, and at every size a 0-d array a0 that carries each stepsize
-into the kernel at less dispatch cost than a Python float; both leave
-the arithmetic bitwise the same.  The kernel allocates nothing per
-iteration, and the objective value, taken at the end and in traced runs,
-writes x - x* into the idle g_next.
+``kernels.BLOCK``) elements, all from ``kernels.aligned_empty`` so that
+the kernel's stores start on cache lines: a misaligned store costs about
+twice an aligned one, and where plain ``np.empty`` puts a vector depends
+on heap history.  The problem's spectrum and x* are only read and stay
+where they are, since misaligning them measured no difference.  Up to
+``kernels.BLOCK`` elements it also keeps vs = grad_scale * spectrum, so
+that the kernel skips its scaling multiply, and at every size a 0-d
+array a0 that carries each stepsize into the kernel at less dispatch
+cost than a Python float; both leave the arithmetic bitwise the same.
+The kernel allocates nothing per iteration, and the objective value,
+taken at the end and in traced runs, writes x - x* into the idle g_next.
 """
 
 from __future__ import annotations
@@ -94,18 +98,21 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     """
     t0 = time.perf_counter()
     v, xs, gscale = p.spectrum, p.x_star, p.grad_scale
-    x = np.array(x0, dtype=float)
-    if x.shape != v.shape:
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != v.shape:
         raise InvalidInput("x0 has the wrong dimension")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x0)):
         raise InvalidInput("x0 has entries that are not finite")
-    g = np.empty_like(x)
-    g_next = np.empty_like(x)
-    y = np.empty(min(x.shape[0], kernels.BLOCK))
+    n = x0.shape[0]
+    x = kernels.aligned_empty(n)
+    x[:] = x0
+    g = kernels.aligned_empty(n)
+    g_next = kernels.aligned_empty(n)
+    y = kernels.aligned_empty(min(n, kernels.BLOCK))
     gg = kernels.quad_gradient(v, xs, x, gscale, g)
     # the kernel's spectrum and scale: pre-scaled up to BLOCK, where the
     # copy is small; above it an n-sized copy would cost more memory
-    if x.shape[0] <= kernels.BLOCK:
+    if n <= kernels.BLOCK:
         vs, kscale = gscale * v, 1.0
     else:
         vs, kscale = v, gscale
@@ -227,16 +234,20 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     special = method != "bb1"
     base = {"day3d": day_stepsize, "bb13d": bb1, "bb23d": bb2, "bb1": bb1}[method]
 
+    # g'g, the final ||g|| and the SD step's g'Ag may overflow, which the
+    # run reports as "nonfinite"; numpy's overflow warning adds nothing
     def finish(status: str, message: str = "") -> RunReport:
         rep.status = status
         rep.message = message
-        rep.final_gnorm = float(np.linalg.norm(g))
+        with np.errstate(over="ignore"):
+            rep.final_gnorm = float(np.linalg.norm(g))
         rep.final_f = quadprob.value(p, x)
         rep.wall_time = time.perf_counter() - t0
         return rep
 
     for k in range(1, 10):
-        gg = float(g @ g)
+        with np.errstate(over="ignore"):
+            gg = float(g @ g)
         if not math.isfinite(gg):
             return finish(STATUS_NONFINITE, f"gradient not finite at k={k}")
         if k == 9 or gg == 0.0:
@@ -244,7 +255,9 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
             return finish(STATUS_OK)
         try:
             if k == 1:
-                alpha, branch = sd_stepsize(g, quadprob.hess_vec(p, g)), "sd"
+                with np.errstate(over="ignore"):
+                    alpha = sd_stepsize(g, quadprob.hess_vec(p, g))
+                branch = "sd"
             elif special and k == 3:
                 u, v, r = gram_schmidt3(*early_grads)
                 alpha = alpha_new_direct(u, v, r, lambda d: quadprob.hess_vec(p, d))

@@ -467,7 +467,6 @@ def test_main_runs_quadbench(tmp_path, capsys):
     assert len(rows) == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_main_verify3d_overflowing_kappa_writes_nonfinite_rows(tmp_path,
                                                                capsys):
     # at kappa 1e200 this exited 1 with a traceback

@@ -103,3 +103,49 @@ def test_step_with_scratch_matches_step_without(n, gscale):
     assert dots == dots_own
     np.testing.assert_array_equal(x, x_own)
     np.testing.assert_array_equal(g_new, g_own)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 100, kernels.BLOCK,
+                               kernels.BLOCK + 1])
+def test_aligned_empty_starts_on_a_cache_line(n):
+    # small allocations before each call move where the heap places it
+    held = []
+    for pad in range(8):
+        held.append(np.empty(pad + 1))
+        a = kernels.aligned_empty(n)
+        assert a.dtype == np.float64
+        assert a.shape == (n,)
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % kernels.ALIGN == 0
+
+
+def _at_offset(a, offset):
+    """Copy of a whose data starts offset bytes past a cache line."""
+    lo = offset // 8
+    buf = kernels.aligned_empty(a.shape[0] + lo)
+    buf[lo:] = a
+    return buf[lo:]
+
+
+@pytest.mark.parametrize("n", [64, kernels.BLOCK + 1, 2 * kernels.BLOCK + 7])
+def test_step_is_bitwise_the_same_at_every_offset(n):
+    # the vectors the step writes (x, g_new, y) at offset w and those it
+    # only reads (v, xstar, g_old) at offset r, for every 8-byte w and r
+    v, xs, x, g = _random_case(n, 2.0, n=n)
+    alpha = np.array(0.01)
+    m = min(n, kernels.BLOCK)
+
+    def step_at(w, r):
+        x_w, g_w = _at_offset(x, w), _at_offset(np.empty(n), w)
+        dots = kernels.quad_step(
+            _at_offset(v, r), _at_offset(xs, r), x_w, _at_offset(g, r), g_w,
+            alpha, 2.0, _at_offset(np.empty(m), w))
+        return dots, x_w, g_w
+
+    dots_ref, x_ref, g_ref = step_at(0, 0)
+    for w in range(0, kernels.ALIGN, 8):
+        for r in range(0, kernels.ALIGN, 8):
+            dots, x_w, g_w = step_at(w, r)
+            assert dots == dots_ref, (w, r)
+            np.testing.assert_array_equal(x_w, x_ref)
+            np.testing.assert_array_equal(g_w, g_ref)

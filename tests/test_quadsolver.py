@@ -313,6 +313,52 @@ def test_gradient_overflowing_mid_run_reports_nonfinite(solver):
     assert "fallback" not in rep.branch_counts
 
 
+@pytest.mark.parametrize("n", [100, 2 * kernels.BLOCK + 7])
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_kernel_writes_only_cache_aligned_vectors(monkeypatch, solver, n):
+    step = kernels.quad_step
+    offsets = []
+
+    def spy(v, xstar, x, g_old, g_new, alpha, gscale, y=None):
+        offsets.append(tuple(a.ctypes.data % kernels.ALIGN
+                             for a in (x, g_old, g_new, y)))
+        return step(v, xstar, x, g_old, g_new, alpha, gscale, y)
+
+    monkeypatch.setattr(kernels, "quad_step", spy)
+    p = generate(1, n, 1e2, seed=0)
+    rep = solver(p, starting_point(p, 0), QuadSolverConfig(eps=1e-6))
+    assert rep.status == STATUS_OK
+    assert len(offsets) == rep.iterations
+    assert set(offsets) == {(0, 0, 0, 0)}
+
+
+def _at_offset(a, offset):
+    """Copy of a whose data starts offset bytes past a cache line."""
+    lo = offset // 8
+    buf = kernels.aligned_empty(a.shape[0] + lo)
+    buf[lo:] = a
+    return buf[lo:]
+
+
+@pytest.mark.parametrize("set_id, n", [(4, 1000), (1, 2 * kernels.BLOCK + 7)])
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_misaligned_problem_arrays_give_the_same_run(solver, set_id, n):
+    # the solver leaves the problem's read-only arrays where they are
+    p = generate(set_id, n, 1e2, seed=0)
+    x0 = starting_point(p, 0)
+    cfg = QuadSolverConfig(eps=1e-6)
+    aligned = QuadraticProblem(spectrum=_at_offset(p.spectrum, 0),
+                               x_star=_at_offset(p.x_star, 0))
+    skewed = QuadraticProblem(spectrum=_at_offset(p.spectrum, 8),
+                              x_star=_at_offset(p.x_star, 40))
+    assert skewed.spectrum.ctypes.data % kernels.ALIGN == 8
+    assert skewed.x_star.ctypes.data % kernels.ALIGN == 40
+    want, got = solver(aligned, x0, cfg), solver(skewed, x0, cfg)
+    assert got.status == want.status == STATUS_OK
+    assert (got.iterations, got.final_gnorm, got.final_f) == (
+        want.iterations, want.final_gnorm, want.final_f)
+
+
 @pytest.mark.parametrize("solver", [solve_bb, solve_new])
 def test_blocked_path_follows_reference_trajectory(solver):
     # above kernels.BLOCK the solver hands the kernel the unscaled
@@ -364,8 +410,7 @@ def test_verify3d_control_does_not_terminate():
     assert rep.final_gnorm > 1e-4
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("kappa", [1e120, 1e200])
+@pytest.mark.parametrize("kappa", [1e120, 1e200, 1e300])
 @pytest.mark.parametrize("method", ["day3d", "bb13d", "bb23d", "bb1"])
 def test_verify3d_overflowing_start_reports_nonfinite(method, kappa):
     # g'Ag overflows at 1e120 (the SD step was 0, then "degenerate"),
