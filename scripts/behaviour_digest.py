@@ -3,6 +3,7 @@
 Usage::
 
     python scripts/behaviour_digest.py [SRC]
+    python scripts/behaviour_digest.py [SRC] --against OTHER_SRC
 
 Runs ``python -m qtgrad.benchcli`` with ``PYTHONPATH=SRC`` (default: the
 ``src`` directory of this checkout), serially (``QTGRAD_WORKERS=1``) and
@@ -20,11 +21,17 @@ with ``--zero-times``, in a temporary directory:
 
 It prints one ``sha256  file`` line per CSV, twelve in all, and takes
 about 4 s.  Two source trees whose arithmetic agrees print the same
-lines, so running it on the parent's ``src`` and on a change's ``src``
-and comparing the output checks that the change left every output byte
-for byte as it was.
+lines.
+
+With ``--against OTHER_SRC`` it runs the same set on both trees and
+prints one ``OTHER_SHA  SRC_SHA  file`` line for each CSV whose bytes
+differ (or that only one tree wrote), nothing for the rest, and a count
+on standard error.  It exits 1 when any CSV differs and 0 otherwise, so
+``--against`` a parent's ``src`` checks that a change left every output
+byte for byte as it was.
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -47,16 +54,8 @@ RUNS = (
 )
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) > 1:
-        print("usage: python scripts/behaviour_digest.py [SRC]",
-              file=sys.stderr)
-        return 2
-    default = Path(__file__).resolve().parent.parent / "src"
-    src = Path(argv[0] if argv else default).resolve()
-    if not (src / "qtgrad").is_dir():
-        print(f"behaviour_digest: no qtgrad package in {src}", file=sys.stderr)
-        return 2
+def digests(src: Path) -> dict[str, str]:
+    """SHA-256 of every CSV the fixed runs write with ``PYTHONPATH=src``."""
     env = dict(os.environ, PYTHONPATH=str(src), QTGRAD_WORKERS="1")
     with tempfile.TemporaryDirectory() as tmp:
         for prefix, args in RUNS:
@@ -64,11 +63,36 @@ def main(argv: list[str]) -> int:
                 [sys.executable, "-m", "qtgrad.benchcli", *args,
                  "--zero-times", "--out", os.path.join(tmp, prefix)],
                 cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)
-        for path in sorted(Path(tmp).glob("*.csv")):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.name}")
-    return 0
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(tmp).glob("*.csv"))}
 
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="?",
+                    default=Path(__file__).resolve().parent.parent / "src",
+                    help="source tree to run (default: this checkout's src)")
+    ap.add_argument("--against", metavar="OTHER_SRC",
+                    help="also run OTHER_SRC and print only the CSVs that "
+                         "differ")
+    args = ap.parse_args(argv)
+    src = Path(args.src).resolve()
+    other = None if args.against is None else Path(args.against).resolve()
+    for tree in (src, other):
+        if tree is not None and not (tree / "qtgrad").is_dir():
+            ap.error(f"no qtgrad package in {tree}")
+    if other is None:
+        for name, digest in digests(src).items():
+            print(f"{digest}  {name}")
+        return 0
+    theirs, mine = digests(other), digests(src)
+    names = sorted(theirs.keys() | mine.keys())
+    differ = [n for n in names if theirs.get(n) != mine.get(n)]
+    for name in differ:
+        print(f"{theirs.get(name, '-')}  {mine.get(name, '-')}  {name}")
+    print(f"behaviour_digest: {len(names) - len(differ)}/{len(names)} CSVs "
+          f"identical", file=sys.stderr)
+    return 1 if differ else 0
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python scripts/bench_pairs.py PARENT_TREE --workload W --seeds A-B --tag TAG
+    python scripts/bench_pairs.py PARENT_TREE --workload W --seeds A-B --tag TAG [--traced]
 
 PARENT_TREE is a checkout of the commit to compare against (made with
 ``git archive`` or a second clone).  For each seed from A to B the script
@@ -28,6 +28,10 @@ neither side, and gives a verdict against the metric's bound:
 ``gain`` is true when the change wins at least nine tenths of the pairs
 and the medians differ, in the change's favour, by more than the
 parent's interquartile range.
+
+With ``--traced``, one ``--trace 1`` run per side follows the pairs, at
+seed A, parent first; the entry's ``traced`` key holds each side's
+per-layer metrics and the hooks its tracer found absent.
 
 The workload's entry is merged into ``BENCH_<TAG>.json`` at the root of
 this checkout; entries of other workloads already in the file are kept.
@@ -62,11 +66,11 @@ def parse_seeds(text):
     return list(range(first, last + 1))
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     """(meta, result) of one perfbench run in tree."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -146,6 +150,8 @@ def main(argv=None):
                     help="inclusive seed range A-B, one pair per seed")
     ap.add_argument("--tag", required=True,
                     help="results go to BENCH_<tag>.json in the repo root")
+    ap.add_argument("--traced", action="store_true",
+                    help="add one --trace 1 run per side at the first seed")
     args = ap.parse_args(argv)
     parent = os.path.abspath(args.parent_tree)
     if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
@@ -187,6 +193,15 @@ def main(argv=None):
             for side in trees},
         "metrics": metrics, "runs": runs,
     }
+    if args.traced:
+        entry["traced"] = {"seed": args.seeds[0]}
+        for side in trees:
+            meta, res = run_once(trees[side], args.workload, args.seeds[0],
+                                 seconds, trace=1)
+            entry["traced"][side] = {
+                "absent_hooks": meta.get("absent_hooks"),
+                "metrics": {k: v["value"] for k, v in res["metrics"].items()},
+            }
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     doc = {"workloads": {}}
     if os.path.exists(path):

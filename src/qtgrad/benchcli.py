@@ -152,8 +152,8 @@ class ExperimentSpec:
                               "has one fixed start")
         if self.tau1 is not None and not 0.0 < self.tau1 <= 1.0:
             raise InvalidSpec("tau1 must lie in (0, 1]")
-        if self.gamma is not None and self.gamma < 1.0:
-            raise InvalidSpec("gamma must be at least 1")
+        if self.gamma is not None and not 1.0 <= self.gamma < math.inf:
+            raise InvalidSpec("gamma must lie in [1, inf)")
 
 
 @dataclass(frozen=True)

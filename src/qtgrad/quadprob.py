@@ -57,16 +57,18 @@ class QuadraticProblem:
 
     def __post_init__(self):
         v = np.asarray(self.spectrum, dtype=float)
+        xs = np.asarray(self.x_star, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise InvalidSpec("spectrum must be a 1-d vector")
-        if not np.all(v > 0.0):
-            raise InvalidSpec("spectrum must be positive")
-        if self.x_star.shape != v.shape:
+        # the finiteness checks are reductions: no n-sized temporaries
+        if not (np.all(v > 0.0) and v.max() < np.inf):
+            raise InvalidSpec("spectrum must be positive and finite")
+        if xs.shape != v.shape:
             raise InvalidSpec("x_star and spectrum shapes differ")
+        if not (np.isfinite(xs.min()) and np.isfinite(xs.max())):
+            raise InvalidSpec("x_star must be finite")
         object.__setattr__(self, "spectrum", v)
-        object.__setattr__(
-            self, "x_star", np.asarray(self.x_star, dtype=float)
-        )
+        object.__setattr__(self, "x_star", xs)
 
     @property
     def n(self) -> int:

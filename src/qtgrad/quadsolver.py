@@ -78,8 +78,8 @@ class QuadSolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tau1 <= 1.0:
             raise ValueError("tau1 must lie in (0, 1]")
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be at least 1")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must lie in [1, inf)")
         if not 0.0 < self.eps < math.inf:
             raise ValueError("eps must lie in (0, inf)")
 

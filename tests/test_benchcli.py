@@ -140,6 +140,8 @@ def test_print_config_roundtrips(tmp_path, capsys):
     dict(sets=(2,), ns=(20, 21)),
     dict(ns=(2,)),
     dict(kappas=(100.0, 1.0)),
+    dict(gamma=math.nan),
+    dict(gamma=math.inf),
 ])
 def test_spec_validation_rejects(tmp_path, kw):
     with pytest.raises(InvalidSpec):
@@ -502,6 +504,10 @@ def test_main_exit_codes(tmp_path, capsys):
      "--methods", "bb,new", "--seeds", "20"],
     ["quadbench", "--set", "3", "--kappa", "50"],
     ["quadbench", "--n", "2"],
+    # a non-finite gamma ran the grid and wrote its CSVs with exit 0
+    ["quadbench", "--set", "1", "--n", "100", "--kappa", "1e2", "--eps",
+     "1e-6", "--methods", "new", "--seeds", "1", "--gamma", "nan"],
+    ["quadbench", "--gamma", "inf"],
 ])
 def test_main_rejects_flags_the_verb_ignores(tmp_path, capsys, monkeypatch,
                                              argv):

@@ -113,3 +113,23 @@ def test_problem_validation():
     with pytest.raises(InvalidSpec):
         quadprob.QuadraticProblem(
             spectrum=np.array([1.0, 2.0]), x_star=np.zeros(3))
+    with pytest.raises(InvalidSpec, match="shapes differ"):
+        quadprob.QuadraticProblem(spectrum=[1.0, 2.0], x_star=[0.0])
+    # an infinite spectrum or x* entry was accepted, and the solve then
+    # reported nonfinite
+    with pytest.raises(InvalidSpec, match="spectrum"):
+        quadprob.QuadraticProblem(
+            spectrum=np.array([1.0, math.inf]), x_star=np.zeros(2))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidSpec, match="x_star"):
+            quadprob.QuadraticProblem(
+                spectrum=np.array([1.0, 2.0]), x_star=np.array([0.0, bad]))
+
+
+def test_problem_accepts_lists():
+    # this raised AttributeError: 'list' object has no attribute 'shape'
+    p = quadprob.QuadraticProblem(spectrum=[1.0, 2.0, 3.0],
+                                  x_star=[0.0, 0.0, 0.0])
+    assert p.spectrum.dtype == float and p.x_star.dtype == float
+    assert p.x_star.shape == (3,)
+    assert quadprob.value(p, np.ones(3)) == 6.0

@@ -377,8 +377,9 @@ def test_blocked_path_follows_reference_trajectory(solver):
 def test_config_rejects_bad_knobs():
     with pytest.raises(ValueError):
         QuadSolverConfig(tau1=0.0)
-    with pytest.raises(ValueError):
-        QuadSolverConfig(gamma=0.5)
+    for gamma in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadSolverConfig(gamma=gamma)
     for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             QuadSolverConfig(eps=eps)

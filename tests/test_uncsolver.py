@@ -256,8 +256,13 @@ def test_trial_stepsizes_are_clamped(monkeypatch):
 
 
 def test_config_rejects_bad_knobs():
-    with pytest.raises(ValueError):
-        UncSolverConfig(gamma=0.99)
+    for gamma in (0.99, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            UncSolverConfig(gamma=gamma)
+    # nan and -3.0 were accepted, unlike by QuadSolverConfig and the CLI
+    for tau1 in (math.nan, -3.0, 0.0, 1.5):
+        with pytest.raises(ValueError):
+            UncSolverConfig(tau1=tau1)
     for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             UncSolverConfig(eps_inf=eps)
