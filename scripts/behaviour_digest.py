@@ -6,11 +6,12 @@ Usage::
     python scripts/behaviour_digest.py [SRC] --against OTHER_SRC
 
 Runs ``python -m qtgrad.benchcli`` with ``PYTHONPATH=SRC`` (default: the
-``src`` directory of this checkout), serially (``QTGRAD_WORKERS=1``) and
-with ``--zero-times``, in a temporary directory:
+``src`` directory of this checkout) and ``--zero-times``, in a temporary
+directory, serially (``QTGRAD_WORKERS=1``) except where noted:
 
 * the ROADMAP grid, ``quadbench --set 1,4 --n 100,1000 --kappa 1e2,1e4
   --eps 1e-6 --methods bb,new,bbq --seeds 20``;
+* the same grid through a process pool, with ``QTGRAD_WORKERS=2``;
 * a traced grid, ``quadbench --set 1,4 --n 100 --kappa 1e4 --eps 1e-6
   --methods bb,new,bbq --seeds 3 --trace``;
 * the solver's blocked path above ``kernels.BLOCK``, ``quadbench --set 1
@@ -19,8 +20,8 @@ with ``--zero-times``, in a temporary directory:
 * ``verify3d --kappa 1.5,100,1e4,1e300 --seeds 10``, whose kappa 1e300
   rows overflow.
 
-It prints one ``sha256  file`` line per CSV, twelve in all, and takes
-about 4 s.  Two source trees whose arithmetic agrees print the same
+It prints one ``sha256  file`` line per CSV, fourteen in all, and takes
+about 6 s.  Two source trees whose arithmetic agrees print the same
 lines.
 
 With ``--against OTHER_SRC`` it runs the same set on both trees and
@@ -39,10 +40,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+GRID = ["quadbench", "--set", "1,4", "--n", "100,1000", "--kappa", "1e2,1e4",
+        "--eps", "1e-6", "--methods", "bb,new,bbq", "--seeds", "20"]
 RUNS = (
-    ("grid", ["quadbench", "--set", "1,4", "--n", "100,1000",
-              "--kappa", "1e2,1e4", "--eps", "1e-6",
-              "--methods", "bb,new,bbq", "--seeds", "20"]),
+    ("grid", GRID),
+    ("pool", GRID),
     ("traced", ["quadbench", "--set", "1,4", "--n", "100", "--kappa", "1e4",
                 "--eps", "1e-6", "--methods", "bb,new,bbq", "--seeds", "3",
                 "--trace"]),
@@ -52,17 +54,20 @@ RUNS = (
              "--trace"]),
     ("v3d", ["verify3d", "--kappa", "1.5,100,1e4,1e300", "--seeds", "10"]),
 )
+# QTGRAD_WORKERS of the runs that do not run serially
+WORKERS = {"pool": "2"}
 
 
 def digests(src: Path) -> dict[str, str]:
     """SHA-256 of every CSV the fixed runs write with ``PYTHONPATH=src``."""
-    env = dict(os.environ, PYTHONPATH=str(src), QTGRAD_WORKERS="1")
+    env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as tmp:
         for prefix, args in RUNS:
             subprocess.run(
                 [sys.executable, "-m", "qtgrad.benchcli", *args,
                  "--zero-times", "--out", os.path.join(tmp, prefix)],
-                cwd=tmp, env=env, check=True, stdout=subprocess.DEVNULL)
+                cwd=tmp, check=True, stdout=subprocess.DEVNULL,
+                env=dict(env, QTGRAD_WORKERS=WORKERS.get(prefix, "1")))
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(Path(tmp).glob("*.csv"))}
 

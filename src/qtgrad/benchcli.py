@@ -14,10 +14,11 @@ Four verbs:
 
 ``verify3d`` and ``uncbench`` reject values they would not use (set, n,
 eps, tau1 and gamma for the first; set, n, kappa and more than one seed
-for the second, whose test functions each have one fixed start).
-``quadbench`` rejects a grid holding any (set, n, kappa) that
-``quadprob.generate`` would reject, before the first cell runs, and
-generates each problem once for the block of cells that shares it.
+for the second, whose test functions each have one fixed start).  A
+grid is checked whole before its first cell runs.  A cell is one
+(method, problem) with all its eps values and seeds: (method, set, n,
+kappa) for ``quadbench``, (method, function) for ``uncbench`` and
+(method, kappa) for ``verify3d``.
 
 The run verbs write ``<out>_runs.csv`` (one row per run) and
 ``<out>_agg.csv`` (per-cell means over solved runs); ``--trace`` adds
@@ -48,14 +49,14 @@ from dataclasses import dataclass
 
 from . import quadprob, testfuns
 from .errors import InvalidInput, InvalidSpec, QtgradError
-from .quadsolver import QuadSolverConfig, solve_bb, solve_new, verify_3d_termination
+from .quadsolver import (VERIFY_METHODS, QuadSolverConfig, solve_bb, solve_new,
+                         verify_3d_termination)
 from .report import STATUS_OK, RunReport
 from .uncsolver import UncSolverConfig, solve
 
 EXPERIMENTS = ("verify3d", "quadbench", "uncbench")
 QUAD_METHODS = ("bb", "new", "bbq")
 UNC_METHODS = ("alg1", "alg1-bbq")
-VERIFY_METHODS = ("day3d", "bb13d", "bb23d", "bb1")
 
 # (tau1, gamma) presets, one per quadratic problem set, for the adaptive
 # method; named after the parameter table they reproduce.
@@ -93,12 +94,6 @@ _UNUSED = {
 # the seed column is the replicate index of the start.  _cells reads it
 # into every cell, so pool workers never read their own copy.
 PROBLEM_SEED = 0
-
-# The last problem a quadbench cell generated, under its (set, n, kappa,
-# problem seed) key.  Cells run in grid order, so the cells of one
-# (method, set, n, kappa) block follow each other and generate their
-# problem once.  run_experiment empties it before it returns.
-_last_problem = {}
 
 
 @dataclass(frozen=True)
@@ -140,20 +135,23 @@ class ExperimentSpec:
                 for n in self.ns:
                     for kappa in self.kappas:
                         quadprob.check_spec(s, n, kappa)
-        if self.experiment != "verify3d":
-            for e in self.epss:
-                if not 0.0 < e < math.inf:
-                    raise InvalidSpec(f"eps must lie in (0, inf), got {e}")
+        elif self.experiment == "verify3d":
+            for kappa in self.kappas:
+                quadprob.check_kappa(kappa)
         for key, field, allowed in _UNUSED.get(self.experiment, ()):
             if getattr(self, field) != allowed:
                 raise InvalidSpec(f"{self.experiment} does not use {key}")
         if self.experiment == "uncbench" and self.seeds > 1:
             raise InvalidSpec("uncbench runs one seed: each test function "
                               "has one fixed start")
-        if self.tau1 is not None and not 0.0 < self.tau1 <= 1.0:
-            raise InvalidSpec("tau1 must lie in (0, 1]")
-        if self.gamma is not None and not 1.0 <= self.gamma < math.inf:
-            raise InvalidSpec("gamma must lie in [1, inf)")
+        if self.experiment != "verify3d":
+            # the solver config owns the eps, tau1 and gamma ranges
+            for eps in self.epss:
+                try:
+                    _solver_config(self.experiment, self.methods[0], eps,
+                                   self.tau1, self.gamma)
+                except ValueError as exc:
+                    raise InvalidSpec(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -216,70 +214,59 @@ def _unc_fn(name: str):
     raise InvalidSpec(f"unknown test function {name!r}")
 
 
+def _solver_config(exp, method, eps, tau1, gamma, trace=False):
+    """One eps's quadbench or uncbench config; None keeps a default."""
+    kw = {k: v for k, v in (("tau1", tau1), ("gamma", gamma)) if v is not None}
+    if exp == "quadbench":
+        return QuadSolverConfig(eps=eps, use_new_step=method != "bbq",
+                                keep_trace=trace, **kw)
+    return UncSolverConfig(eps_inf=eps, use_new_step=method == "alg1",
+                           keep_trace=trace, **kw)
+
+
 def _run_cell(cell):
-    """Execute one (method, problem, seed) cell; must stay picklable."""
-    exp, method, set_key, n, kappa, eps, seed, pseed, tau1, gamma, trace = cell
-    if exp == "verify3d":
-        rep = verify_3d_termination(kappa, method, seed, keep_trace=trace)
-        row = _report_row(rep, 0, 3, kappa, 0.0, seed)
-    elif exp == "quadbench":
-        key = (set_key, n, kappa, pseed)
-        p = _last_problem.get(key)
-        if p is None:
-            _last_problem.clear()
-            p = _last_problem[key] = quadprob.generate(*key)
-        x0 = quadprob.starting_point(p, seed)
-        kw = {"eps": eps, "keep_trace": trace}
-        if tau1 is not None:
-            kw["tau1"] = tau1
-        if gamma is not None:
-            kw["gamma"] = gamma
-        if method == "bb":
-            rep = solve_bb(p, x0, QuadSolverConfig(**kw))
-        else:
-            kw["use_new_step"] = method == "new"
-            rep = solve_new(p, x0, QuadSolverConfig(**kw))
-        row = _report_row(rep, set_key, n, kappa, eps, seed)
-    else:
+    """Run one (method, problem) cell over its eps values and seeds.
+
+    Returns the run rows and trace rows.  Cells must stay picklable.
+    """
+    exp, method, set_key, n, kappa, epss, seeds, pseed, tau1, gamma, trace = cell
+    if exp == "quadbench":
+        p = quadprob.generate(set_key, n, kappa, pseed)
+    elif exp == "uncbench":
         f = _unc_fn(set_key)
-        kw = {"eps_inf": eps, "keep_trace": trace,
-              "use_new_step": method == "alg1"}
-        if tau1 is not None:
-            kw["tau1"] = tau1
-        if gamma is not None:
-            kw["gamma"] = gamma
-        rep = solve(f, cfg=UncSolverConfig(**kw))
-        row = _report_row(rep, f.name, f.dimension, 0.0, eps, seed)
-    return row, _trace_rows(rep, row)
+    rows, traces = [], []
+    for eps in epss:
+        if exp != "verify3d":
+            cfg = _solver_config(exp, method, eps, tau1, gamma, trace)
+        for seed in range(seeds):
+            if exp == "verify3d":
+                rep = verify_3d_termination(kappa, method, seed,
+                                            keep_trace=trace)
+            elif exp == "uncbench":
+                rep = solve(f, cfg=cfg)
+            elif method == "bb":
+                rep = solve_bb(p, quadprob.starting_point(p, seed), cfg)
+            else:
+                rep = solve_new(p, quadprob.starting_point(p, seed), cfg)
+            row = _report_row(rep, set_key, n, kappa, eps, seed)
+            rows.append(row)
+            traces += _trace_rows(rep, row)
+    return rows, traces
 
 
 def _cells(spec: ExperimentSpec):
+    if spec.experiment == "verify3d":
+        problems = [(0, 3, kappa) for kappa in spec.kappas]
+    elif spec.experiment == "quadbench":
+        problems = [(s, n, kappa) for s in spec.sets for n in spec.ns
+                    for kappa in spec.kappas]
+    else:
+        problems = [(f.name, f.dimension, 0.0)
+                    for f in testfuns.builtin_suite()]
     pseed = PROBLEM_SEED
-    out = []
-    for method in spec.methods:
-        if spec.experiment == "verify3d":
-            for kappa in spec.kappas:
-                for seed in range(spec.seeds):
-                    out.append(("verify3d", method, 0, 3, kappa, 0.0,
-                                seed, pseed, None, None, spec.trace))
-        elif spec.experiment == "quadbench":
-            for set_id in spec.sets:
-                for n in spec.ns:
-                    for kappa in spec.kappas:
-                        for eps in spec.epss:
-                            for seed in range(spec.seeds):
-                                out.append(("quadbench", method, set_id, n,
-                                            kappa, eps, seed, pseed,
-                                            spec.tau1, spec.gamma,
-                                            spec.trace))
-        else:
-            for f in testfuns.builtin_suite():
-                for eps in spec.epss:
-                    for seed in range(spec.seeds):
-                        out.append(("uncbench", method, f.name,
-                                    f.dimension, 0.0, eps, seed, pseed,
-                                    spec.tau1, spec.gamma, spec.trace))
-    return out
+    return [(spec.experiment, method, *problem, spec.epss, spec.seeds, pseed,
+             spec.tau1, spec.gamma, spec.trace)
+            for method in spec.methods for problem in problems]
 
 
 def _worker_count() -> int:
@@ -341,28 +328,22 @@ def _write_csv(path, columns, rows):
 def run_experiment(spec: ExperimentSpec):
     """Run every cell of the grid and write the run and aggregate CSVs.
 
-    Returns the two paths.  Cell execution order never affects the
-    output: rows are sorted before writing and each cell is a pure
-    function of its parameters, PROBLEM_SEED among them.  A quadbench
-    cell takes its problem from a one-entry cache keyed by the problem's
-    parameters, so each block of cells that shares a problem generates
-    it once; the cache is emptied before this returns, so no problem
-    outlives the grid.
+    Returns the two paths.  Each cell runs one problem's eps values and
+    seeds and is a pure function of its parameters, PROBLEM_SEED among
+    them; the cells' rows are flattened and sorted before writing, so
+    execution order never affects the output.
     """
     out_dir = os.path.dirname(spec.out) or "."
     if not os.path.isdir(out_dir):
         raise InvalidSpec(f"output directory {out_dir!r} does not exist")
     cells = _cells(spec)
     workers = _worker_count()
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(_run_cell, cells))
-        else:
-            results = [_run_cell(c) for c in cells]
-    finally:
-        _last_problem.clear()
-    rows = [row for row, _ in results]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(_run_cell, cells))
+    else:
+        results = [_run_cell(c) for c in cells]
+    rows = [r for rs, _ in results for r in rs]
     traces = [t for _, ts in results for t in ts]
     if spec.zero_times:
         for r in rows:

@@ -42,8 +42,7 @@ class QuadraticProblem:
 
     ``spectrum`` is the diagonal v, not the Hessian eigenvalues; those are
     ``grad_scale * v``.  f = ``value_scale`` (x - x*)' diag(v) (x - x*).
-    ``gen_kappa`` is the kappa the generator was asked for; the realized
-    condition number is ``kappa``.
+    ``seed`` feeds :func:`starting_point`.
     """
 
     grad_scale = 2.0
@@ -51,8 +50,6 @@ class QuadraticProblem:
 
     spectrum: np.ndarray
     x_star: np.ndarray
-    set_id: int = 0
-    gen_kappa: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -144,6 +141,12 @@ def _spectrum(set_id: int, n: int, kappa: float, rng: np.random.Generator) -> np
     return v
 
 
+def check_kappa(kappa: float) -> None:
+    """Raise InvalidSpec unless kappa lies in (1, inf)."""
+    if not 1.0 < kappa < np.inf:
+        raise InvalidSpec("kappa must lie in (1, inf)")
+
+
 def check_spec(set_id: int, n: int, kappa: float) -> None:
     """Raise InvalidSpec unless :func:`generate` accepts (set_id, n, kappa).
 
@@ -156,8 +159,7 @@ def check_spec(set_id: int, n: int, kappa: float) -> None:
         raise InvalidSpec("n must be at least 3")
     if set_id not in SET_IDS:
         raise InvalidSpec(f"unknown set id {set_id}")
-    if not 1.0 < kappa < np.inf:
-        raise InvalidSpec("kappa must lie in (1, inf)")
+    check_kappa(kappa)
     if set_id == 2 and n % 2 != 0:
         raise InvalidSpec("set 2 needs even n")
     if set_id in (3, 5):
@@ -179,17 +181,14 @@ def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
     xstar_rng = _stream(seed, _XSTAR_KEY)
     v = _spectrum(set_id, n, kappa, spec_rng)
     x_star = xstar_rng.uniform(-10.0, 10.0, size=n)
-    return QuadraticProblem(spectrum=v, x_star=x_star, set_id=set_id,
-                            gen_kappa=float(kappa), seed=int(seed))
+    return QuadraticProblem(spectrum=v, x_star=x_star, seed=int(seed))
 
 
 def verification_problem(kappa: float) -> QuadraticProblem:
     """The 3-d problem with Hessian diag(1, kappa/2, kappa) and x* = 0."""
-    if not 1.0 < kappa < np.inf:
-        raise InvalidSpec("kappa must lie in (1, inf)")
+    check_kappa(kappa)
     v = np.array([0.5, kappa / 4.0, kappa / 2.0])
-    return QuadraticProblem(spectrum=v, x_star=np.zeros(3),
-                            gen_kappa=float(kappa))
+    return QuadraticProblem(spectrum=v, x_star=np.zeros(3))
 
 
 def starting_point(p: QuadraticProblem, replicate: int) -> np.ndarray:

@@ -204,7 +204,8 @@ def solve_new(p: quadprob.QuadraticProblem, x0,
     return _solve(p, x0, cfg, "new" if cfg.use_new_step else "bbq", cfg.tau1)
 
 
-_VERIFY_METHODS = ("day3d", "bb13d", "bb23d", "bb1")
+# The baseline stepsizes verify_3d_termination runs.
+VERIFY_METHODS = ("day3d", "bb13d", "bb23d", "bb1")
 
 
 def verify_3d_termination(kappa: float, method: str, seed: int,
@@ -220,8 +221,8 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     gradient that is not finite at any iterate, or an overflowing step
     (g'Ag), ends it with status "nonfinite".
     """
-    if method not in _VERIFY_METHODS:
-        raise ValueError(f"method must be one of {_VERIFY_METHODS}")
+    if method not in VERIFY_METHODS:
+        raise ValueError(f"method must be one of {VERIFY_METHODS}")
     p = quadprob.verification_problem(kappa)
     x = quadprob.starting_point(p, seed)
     rep = RunReport(method=method)

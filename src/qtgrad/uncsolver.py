@@ -183,7 +183,8 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     trial is clamped into [ALPHA_MIN, ALPHA_MAX].  Stops at
     ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
     aborts with its diagnostic.  A starting point that is not finite, or
-    whose shape is not (f.dimension,), raises InvalidInput.  A value or
+    whose shape is not (f.dimension,), raises InvalidInput, and so does a
+    starting gradient of another shape than x.  A value or
     gradient that is not finite, at the start, at a NaN trial of the line
     search or at an accepted point, ends the run at once with status
     "nonfinite"; an infinite trial value is only a rejected trial.
@@ -199,6 +200,8 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         raise InvalidInput("x0 has entries that are not finite")
     value, gradient = f.value, f.gradient
     g = np.asarray(gradient(x), dtype=float)
+    if g.shape != x.shape:
+        raise InvalidInput("gradient has the wrong dimension")
     fval = float(value(x))
     it = 0
     nfe = ngrad = 1

@@ -9,13 +9,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from qtgrad import benchcli
+from qtgrad import benchcli, quadprob
 from qtgrad.benchcli import (
     AGG_COLUMNS,
     PRESETS,
     RAW_COLUMNS,
     ROW_KEY,
     TRACE_COLUMNS,
+    UNC_METHODS,
     ExperimentSpec,
     ProfileCurve,
     build_profile,
@@ -26,6 +27,10 @@ from qtgrad.benchcli import (
     run_experiment,
 )
 from qtgrad.errors import InvalidInput, InvalidSpec
+from qtgrad.quadsolver import (VERIFY_METHODS, QuadSolverConfig, solve_bb,
+                               solve_new, verify_3d_termination)
+from qtgrad.testfuns import builtin_suite
+from qtgrad.uncsolver import UncSolverConfig, solve
 
 
 def make_args(**over):
@@ -225,11 +230,11 @@ def test_quadbench_writes_sorted_reproducible_csvs(tmp_path):
 
 
 def test_quadbench_parallel_matches_serial(tmp_path, monkeypatch):
-    spec = spec_for(tmp_path, out=str(tmp_path / "ser"))
+    spec = spec_for(tmp_path, epss=(1e-6, 1e-8), out=str(tmp_path / "ser"))
     runs_path, _ = run_experiment(spec)
     serial = open(runs_path, "rb").read()
     monkeypatch.setenv("QTGRAD_WORKERS", "4")
-    spec2 = spec_for(tmp_path, out=str(tmp_path / "par"))
+    spec2 = spec_for(tmp_path, epss=(1e-6, 1e-8), out=str(tmp_path / "par"))
     runs2, _ = run_experiment(spec2)
     assert open(runs2, "rb").read() == serial
 
@@ -248,30 +253,48 @@ def test_spawned_pool_uses_the_problem_seed(tmp_path, monkeypatch):
     assert open(run_experiment(spec)[0], "rb").read() == serial
 
 
-def _fresh_problem_csv(spec, path):
-    """The runs CSV of spec with a freshly generated problem for every cell."""
+def _direct_report(row):
+    """The report of a row's run from a fresh problem, start and config."""
+    method, eps, seed = row["method"], row["eps"], row["seed"]
+    if method in VERIFY_METHODS:
+        return verify_3d_termination(row["kappa"], method, seed)
+    if method in UNC_METHODS:
+        (f,) = [f for f in builtin_suite() if f.name == row["set"]]
+        return solve(f, cfg=UncSolverConfig(
+            eps_inf=eps, use_new_step=method == "alg1"))
+    p = quadprob.generate(int(row["set"]), row["n"], row["kappa"],
+                          benchcli.PROBLEM_SEED)
+    cfg = QuadSolverConfig(tau1=0.9, gamma=1.3, eps=eps,
+                           use_new_step=method != "bbq")
+    solver = solve_bb if method == "bb" else solve_new
+    return solver(p, quadprob.starting_point(p, seed), cfg)
+
+
+def test_grid_rows_match_direct_solves(tmp_path, monkeypatch):
     rows = []
-    for cell in benchcli._cells(spec):
-        benchcli._last_problem.clear()
-        row, _ = benchcli._run_cell(cell)
-        row["time_ms"] = 0.0
-        rows.append(row)
-    rows.sort(key=benchcli._sort_key)
-    benchcli._write_csv(path, RAW_COLUMNS, rows)
-    return open(path, "rb").read()
+    real = benchcli._run_cell
 
+    def keep(cell):
+        out = real(cell)
+        rows.extend(out[0])
+        return out
 
-def test_cached_problems_match_fresh_ones(tmp_path, monkeypatch):
-    spec = spec_for(tmp_path, sets=(1, 4), kappas=(100.0, 1e3))
-    csvs = {}
-    for problem_seed in (0, 1):
-        monkeypatch.setattr(benchcli, "PROBLEM_SEED", problem_seed)
-        runs_path, _ = run_experiment(spec)
-        assert benchcli._last_problem == {}
-        csvs[problem_seed] = open(runs_path, "rb").read()
-        assert csvs[problem_seed] == _fresh_problem_csv(
-            spec, str(tmp_path / f"fresh{problem_seed}.csv"))
-    assert csvs[0] != csvs[1]
+    monkeypatch.setattr(benchcli, "_run_cell", keep)
+    monkeypatch.setattr(benchcli, "PROBLEM_SEED", 1)
+    run_experiment(spec_for(tmp_path, methods=("bb", "new", "bbq"),
+                            sets=(1, 4), epss=(1e-6, 1e-8), tau1=0.9,
+                            gamma=1.3))
+    run_experiment(spec_for(tmp_path, **{**UNC_SPEC,
+                                         "methods": UNC_METHODS}))
+    run_experiment(spec_for(tmp_path, **{**V3D_SPEC,
+                                         "kappas": (100.0, 1e4)}))
+    assert len(rows) == 3 * 2 * 2 * 2 + 2 * len(builtin_suite()) + 2 * 2
+    for row in rows:
+        rep = _direct_report(row)
+        assert (row["iters"], row["status"], row["final_gnorm"].hex(),
+                row["final_f"].hex()) == (
+            rep.iterations, rep.status, rep.final_gnorm.hex(),
+            rep.final_f.hex()), row
 
 
 def test_each_block_of_cells_generates_its_problem_once(tmp_path,
@@ -290,7 +313,6 @@ def test_each_block_of_cells_generates_its_problem_once(tmp_path,
     blocks = [(s, 20, k, benchcli.PROBLEM_SEED)
               for _ in spec.methods for s in spec.sets for k in spec.kappas]
     assert calls == blocks
-    assert benchcli._last_problem == {}
 
 
 def test_bad_worker_env_is_rejected(tmp_path, monkeypatch):
@@ -323,7 +345,6 @@ def test_uncbench_rows_name_the_functions(tmp_path):
                     seeds=1)
     runs_path, _ = run_experiment(spec)
     header, rows = read_csv(runs_path)
-    from qtgrad.testfuns import builtin_suite
     suite = {f.name: f.dimension for f in builtin_suite()}
     assert len(rows) == len(suite)
     for r in rows:
@@ -508,6 +529,10 @@ def test_main_exit_codes(tmp_path, capsys):
     ["quadbench", "--set", "1", "--n", "100", "--kappa", "1e2", "--eps",
      "1e-6", "--methods", "new", "--seeds", "1", "--gamma", "nan"],
     ["quadbench", "--gamma", "inf"],
+    # verify3d checked its kappas only inside its cells, after the runs
+    # of every kappa before the bad one
+    ["verify3d", "--kappa", "100,1.0"],
+    ["verify3d", "--kappa", "nan"],
 ])
 def test_main_rejects_flags_the_verb_ignores(tmp_path, capsys, monkeypatch,
                                              argv):

@@ -155,10 +155,15 @@ def test_nonfinite_start_is_invalid_input(bad):
     (testfuns.sphere(5), [1.0, 2.0]),
     (testfuns.rosenbrock2(), [[1.0, 2.0]]),
     (testfuns.rosenbrock2(), [1.0, 2.0, 3.0]),
-], ids=["short", "nested", "long"])
+    (ObjectiveFn("short-gradient", 3, lambda x: float(x @ x),
+                 lambda x: 2.0 * x[:-1], np.ones(3)), None),
+    (ObjectiveFn("column-gradient", 3, lambda x: float(x @ x),
+                 lambda x: 2.0 * x[:, None], np.ones(3)), None),
+], ids=["short", "nested", "long", "short-gradient", "column-gradient"])
 def test_wrong_dimension_start_is_invalid_input(f, x0):
     # these reported ok, raised IndexError and raised a broadcast
-    # ValueError
+    # ValueError; the gradients raised numpy's broadcast and alignment
+    # ValueErrors
     with pytest.raises(InvalidInput, match="dimension"):
         solve(f, x0=x0)
 
