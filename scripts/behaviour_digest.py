@@ -17,10 +17,12 @@ directory, serially (``QTGRAD_WORKERS=1``) except where noted:
 * the solver's blocked path above ``kernels.BLOCK``, ``quadbench --set 1
   --n 40000 --kappa 1e2 --eps 1e-6 --methods bb,new --seeds 2``;
 * ``uncbench --methods alg1,alg1-bbq --eps 1e-6 --trace``;
-* ``verify3d --kappa 1.5,100,1e4,1e300 --seeds 10``, whose kappa 1e300
-  rows overflow.
+* ``verify3d --kappa 1.5,2,100,1e4,1e8,1e300 --seeds 10 --trace``: at
+  kappa 2 every special-step method degenerates at k = 3 in
+  Gram-Schmidt, at 1e8 one seed in ten degenerates at k = 6 in the BBQ
+  step, and the kappa 1e300 rows overflow.
 
-It prints one ``sha256  file`` line per CSV, fourteen in all, and takes
+It prints one ``sha256  file`` line per CSV, fifteen in all, and takes
 about 6 s.  Two source trees whose arithmetic agrees print the same
 lines.
 
@@ -52,7 +54,8 @@ RUNS = (
                  "--eps", "1e-6", "--methods", "bb,new", "--seeds", "2"]),
     ("unc", ["uncbench", "--methods", "alg1,alg1-bbq", "--eps", "1e-6",
              "--trace"]),
-    ("v3d", ["verify3d", "--kappa", "1.5,100,1e4,1e300", "--seeds", "10"]),
+    ("v3d", ["verify3d", "--kappa", "1.5,2,100,1e4,1e8,1e300", "--seeds",
+             "10", "--trace"]),
 )
 # QTGRAD_WORKERS of the runs that do not run serially
 WORKERS = {"pool": "2"}

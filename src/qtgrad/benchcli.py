@@ -145,13 +145,15 @@ class ExperimentSpec:
             raise InvalidSpec("uncbench runs one seed: each test function "
                               "has one fixed start")
         if self.experiment != "verify3d":
-            # the solver config owns the eps, tau1 and gamma ranges
+            # the solver config owns the eps, tau1 and gamma ranges; its
+            # message names uncbench's eps by the config field it sets
             for eps in self.epss:
                 try:
                     _solver_config(self.experiment, self.methods[0], eps,
                                    self.tau1, self.gamma)
                 except ValueError as exc:
-                    raise InvalidSpec(str(exc)) from None
+                    raise InvalidSpec(
+                        str(exc).replace("eps_inf", "eps")) from None
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,6 @@ class InvalidInput(QtgradError, ValueError):
     """Input data handed to a solver or an aggregation step is unusable."""
 
 
-class ZeroDenominator(QtgradError, ZeroDivisionError):
-    """A stepsize denominator is exactly zero."""
-
-
-class NonPositiveCurvature(QtgradError):
-    """s'y <= 0, so a BB stepsize is undefined or negative."""
-
-
 class Degenerate(QtgradError):
     """A closed-form stepsize could not be formed from the history.
 

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, quadprob
-from .errors import (Degenerate, InvalidInput, NonPositiveCurvature,
-                     NumericalFailure, ZeroDenominator)
+from .errors import Degenerate, InvalidInput, NumericalFailure
 from .report import (
     STATUS_DEGENERATE,
     STATUS_MAXITER,
@@ -48,7 +47,7 @@ from .report import (
     RunReport,
     TraceRecord,
 )
-from .stepsizes import StepPair, bb1, bb2, bbq_stepsize, day_stepsize, sd_stepsize
+from .stepsizes import bbq_stepsize, sd_stepsize
 from .termination3d import GradientHistory, alpha_new_direct, gram_schmidt3, next_stepsize
 
 # Iteration budget of one run.
@@ -88,13 +87,13 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
            method: str, tau: float) -> RunReport:
     """One exact SD step, then the adaptive rule from threshold tau.
 
-    A starting g'g, or a g'Ag of the SD step, that is not finite ends the
-    run at iteration 0 with status "nonfinite"; a g'g that overflows later
-    ends it where the rule finds no curvature, which its first non-finite
-    g'g always brings about (its BB1 is 0 or nan).  The kernels,
-    ``sd_stepsize``, ``next_stepsize`` and ``hist.set_stepsize`` are
-    looked up at every call, never hoisted, so that wrappers patched onto
-    them see every call.
+    A starting g'g that is not finite, or a g'Ag of the SD step that
+    overflows or underflows to 0, ends the run at iteration 0 with status
+    "nonfinite"; a g'g that overflows later ends it where the rule finds
+    no curvature, which its first non-finite g'g always brings about (its
+    BB1 is 0 or nan).  The kernels, ``sd_stepsize``, ``next_stepsize``
+    and ``hist.set_stepsize`` are looked up at every call, never hoisted,
+    so that wrappers patched onto them see every call.
     """
     t0 = time.perf_counter()
     v, xs, gscale = p.spectrum, p.x_star, p.grad_scale
@@ -216,10 +215,18 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     iterations: "day3d", "bb13d" or "bb23d" run that stepsize with the
     direct three-dimensional step at k=3 and the BBQ step at k=6;
     "bb1" runs unmodified BB1 with no special steps, the control column.
-    Reports ||g|| and f at the ninth iterate.  A Degenerate special step
-    marks the run failed rather than substituting another stepsize; a
-    gradient that is not finite at any iterate, or an overflowing step
-    (g'Ag), ends it with status "nonfinite".
+    Reports ||g|| and f at the ninth iterate.
+
+    After each step the run forms s's, s'y and y'y of s = -alpha g and
+    y = g_new - g, and from them the floats BB1 = s's/s'y,
+    BB2 = s'y/y'y and DAY = sqrt(s's/y'y) of that pair, keeping BB1 and
+    BB2 of the pair before it for the BBQ step.  A value is nan where it
+    is undefined: BB1 and BB2 need s'y > 0, BB2 and DAY need y'y != 0.
+    A base step whose value is undefined, or a Degenerate special step,
+    ends the run with status "degenerate" rather than substituting
+    another stepsize; a gradient that is not finite at any iterate, or an
+    overflowing or underflowing g'Ag in the first step, ends it with
+    status "nonfinite".
     """
     if method not in VERIFY_METHODS:
         raise ValueError(f"method must be one of {VERIFY_METHODS}")
@@ -230,10 +237,10 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     g = quadprob.gradient(p, x)
     rep.ngrad = 1
     early_grads: list[np.ndarray] = [g.copy()]
-    pair_cur: StepPair | None = None   # pair ending at the current iterate
-    pair_prev: StepPair | None = None
+    # BB values of the pair ending at the current iterate, and BB1 and
+    # BB2 of the pair before it; nan where undefined or not yet formed
+    bb1 = bb2 = day = bb1_prev = bb2_prev = math.nan
     special = method != "bb1"
-    base = {"day3d": day_stepsize, "bb13d": bb1, "bb23d": bb2, "bb1": bb1}[method]
 
     # g'g, the final ||g|| and the SD step's g'Ag may overflow, which the
     # run reports as "nonfinite"; numpy's overflow warning adds nothing
@@ -264,12 +271,15 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
                 alpha = alpha_new_direct(u, v, r, lambda d: quadprob.hess_vec(p, d))
                 branch = "new3d"
             elif special and k == 6:
-                alpha = bbq_stepsize(bb1(pair_prev), bb1(pair_cur),
-                                     bb2(pair_prev), bb2(pair_cur))
+                alpha = bbq_stepsize(bb1_prev, bb1, bb2_prev, bb2)
                 branch = "bbq"
             else:
-                alpha, branch = base(pair_cur), "base"
-        except (Degenerate, NonPositiveCurvature, ZeroDenominator) as exc:
+                alpha = (day if method == "day3d" else
+                         bb2 if method == "bb23d" else bb1)
+                if math.isnan(alpha):
+                    raise Degenerate(f"{method} base stepsize is undefined")
+                branch = "base"
+        except Degenerate as exc:
             return finish(STATUS_DEGENERATE, f"at k={k}: {exc}")
         except NumericalFailure as exc:
             return finish(STATUS_NONFINITE, f"at k={k}: {exc}")
@@ -278,8 +288,13 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
         rep.ngrad += 1
         rep.iterations = k
         rep.count(branch)
-        pair_prev = pair_cur
-        pair_cur = StepPair.from_vectors(-alpha * g, g_new - g)
+        s = -alpha * g
+        y = g_new - g
+        ss, sy, yy = float(s @ s), float(s @ y), float(y @ y)
+        bb1_prev, bb2_prev = bb1, bb2
+        bb1 = ss / sy if sy > 0.0 else math.nan
+        bb2 = sy / yy if sy > 0.0 and yy != 0.0 else math.nan
+        day = math.sqrt(ss / yy) if yy != 0.0 else math.nan
         g = g_new
         if len(early_grads) < 3:
             early_grads.append(g.copy())

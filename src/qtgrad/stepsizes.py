@@ -1,80 +1,26 @@
-"""Scalar stepsize formulas for gradient methods.
+"""Closed-form stepsizes that the solvers look up by name.
 
-Every formula here consumes inner products of the displacement
-s = x_k - x_{k-1} and gradient difference y = g_k - g_{k-1}, packed in a
-:class:`StepPair`.  Solvers build pairs once per iteration and feed them to
-whichever rules they need, so no function in this module touches vectors
-except the ``from_vectors`` constructor and ``sd_stepsize``.
+* :func:`sd_stepsize`: the exact steepest-descent step g'g / g'Ag of the
+  first iteration on a quadratic, the one formula here that reads vectors;
+* :func:`bbq_stepsize`: the two-dimensional quadratic-termination (BBQ)
+  step from the last two BB1 and BB2 values, with ``TOL_DEN`` its
+  tolerance on equal BB1 values.
+
+The Barzilai-Borwein values themselves, BB1 = s's / s'y and
+BB2 = s'y / y'y, are plain floats that each solver forms inline from the
+inner products it already has.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (Degenerate, NonPositiveCurvature, NumericalFailure,
-                     ZeroDenominator)
+from .errors import Degenerate, NumericalFailure
 
-# Cauchy-Schwarz slack for pairs built from explicit vectors.
-_CS_RTOL = 1e-12
 # Relative gap under which bbq_stepsize takes two BB1 values as equal.
 TOL_DEN = 1e-12
-
-
-@dataclass(frozen=True)
-class StepPair:
-    """Inner products of one (s, y) displacement/gradient-difference pair."""
-
-    s_dot_s: float
-    s_dot_y: float
-    y_dot_y: float
-
-    def __post_init__(self):
-        if self.s_dot_s < 0.0 or self.y_dot_y < 0.0:
-            raise ValueError("squared norms must be nonnegative")
-
-    @classmethod
-    def from_vectors(cls, s: np.ndarray, y: np.ndarray) -> "StepPair":
-        """Build a pair from explicit s and y vectors."""
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        pair = cls(float(s @ s), float(s @ y), float(y @ y))
-        bound = pair.s_dot_s * pair.y_dot_y
-        if pair.s_dot_y**2 > bound * (1.0 + _CS_RTOL) + _CS_RTOL:
-            raise ValueError("inner products violate Cauchy-Schwarz")
-        return pair
-
-
-def bb1(pair: StepPair) -> float:
-    """First Barzilai-Borwein stepsize s's / s'y.
-
-    Raises NonPositiveCurvature when s'y <= 0.
-    """
-    if pair.s_dot_y <= 0.0:
-        raise NonPositiveCurvature(f"s'y = {pair.s_dot_y}")
-    return pair.s_dot_s / pair.s_dot_y
-
-
-def bb2(pair: StepPair) -> float:
-    """Second Barzilai-Borwein stepsize s'y / y'y.
-
-    Raises NonPositiveCurvature when s'y <= 0 and ZeroDenominator when
-    y'y = 0.
-    """
-    if pair.s_dot_y <= 0.0:
-        raise NonPositiveCurvature(f"s'y = {pair.s_dot_y}")
-    if pair.y_dot_y == 0.0:
-        raise ZeroDenominator("y'y = 0")
-    return pair.s_dot_y / pair.y_dot_y
-
-
-def day_stepsize(pair: StepPair) -> float:
-    """Dai-Yang stepsize ||s|| / ||y||, the geometric mean of bb1 and bb2."""
-    if pair.y_dot_y == 0.0:
-        raise ZeroDenominator("y'y = 0")
-    return math.sqrt(pair.s_dot_s / pair.y_dot_y)
 
 
 def sd_stepsize(g: np.ndarray, hess_g: np.ndarray) -> float:
@@ -87,15 +33,13 @@ def sd_stepsize(g: np.ndarray, hess_g: np.ndarray) -> float:
     hess_g : ndarray
         Hessian-vector product A g, already applied by the caller.
 
-    Raises NumericalFailure unless g'Ag is finite and the step positive
-    and finite, and NonPositiveCurvature when g'Ag <= 0.
+    Raises NumericalFailure unless 0 < g'Ag < inf (an overflowing or an
+    underflowing g'Ag) and unless the step is positive and finite.
     """
     g = np.asarray(g, dtype=float)
     den = float(g @ np.asarray(hess_g, dtype=float))
-    if not math.isfinite(den):
-        raise NumericalFailure(f"g'Ag = {den} is not finite")
-    if den <= 0.0:
-        raise NonPositiveCurvature(f"g'Ag = {den}")
+    if not 0.0 < den < math.inf:
+        raise NumericalFailure(f"g'Ag = {den} is not positive and finite")
     step = float(g @ g) / den
     if not 0.0 < step < math.inf:
         raise NumericalFailure(f"g'g / g'Ag = {step}")

@@ -507,7 +507,9 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["quadbench", "--set", "9"]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["uncbench", "--eps", "nan"]) == 2
-    assert "eps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "eps must lie" in err
+    assert "eps_inf" not in err
     assert main(["profile", str(tmp_path / "missing.csv")]) == 3
     capsys.readouterr()
 

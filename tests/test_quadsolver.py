@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from qtgrad import kernels, quadsolver, termination3d
+from qtgrad import kernels, quadprob, quadsolver, termination3d
 from qtgrad.quadprob import (
     SET_IDS,
     QuadraticProblem,
@@ -27,7 +27,12 @@ from qtgrad.quadsolver import (
     solve_new,
     verify_3d_termination,
 )
-from qtgrad.report import STATUS_MAXITER, STATUS_NONFINITE, STATUS_OK
+from qtgrad.report import (
+    STATUS_DEGENERATE,
+    STATUS_MAXITER,
+    STATUS_NONFINITE,
+    STATUS_OK,
+)
 from qtgrad.termination3d import GradientHistory
 
 from oracles import reference_trajectory
@@ -300,6 +305,18 @@ def test_overflowing_start_gradient_reports_nonfinite(solver, index, big):
     assert rep.iterations == 0
 
 
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_underflowing_sd_curvature_reports_nonfinite(solver):
+    # g'g = 1.6e-319 is positive but g'Ag underflows to 0; the SD step
+    # used to raise an exception the solver did not catch
+    p = QuadraticProblem(spectrum=np.full(4, 1e-10), x_star=np.zeros(4))
+    rep = solver(p, np.full(4, 1e-150))
+    assert rep.status == STATUS_NONFINITE
+    assert not rep.solved
+    assert rep.iterations == 0
+    assert "g'Ag" in rep.message
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("solver", [solve_bb, solve_new])
 def test_gradient_overflowing_mid_run_reports_nonfinite(solver):
@@ -419,6 +436,24 @@ def test_verify3d_overflowing_start_reports_nonfinite(method, kappa):
     rep = verify_3d_termination(kappa, method, seed=0)
     assert rep.status == STATUS_NONFINITE
     assert not rep.solved
+
+
+@pytest.mark.parametrize("method", quadsolver.VERIFY_METHODS)
+def test_verify3d_without_curvature_degenerates(monkeypatch, method):
+    # every gradient equals the first, so y = 0: s'y = y'y = 0 leaves
+    # BB1, BB2 and DAY undefined and the k = 2 base step ends the run
+    real, first = quadprob.gradient, []
+
+    def frozen(p, x):
+        if not first:
+            first.append(real(p, x))
+        return first[0].copy()
+
+    monkeypatch.setattr(quadprob, "gradient", frozen)
+    rep = verify_3d_termination(100.0, method, seed=0)
+    assert rep.status == STATUS_DEGENERATE
+    assert rep.iterations == 1
+    assert rep.message.startswith("at k=2:")
 
 
 def test_verify3d_rejects_unknown_method():

@@ -7,7 +7,7 @@ from oracles import bisect_largest_eig, lapack_largest_eig
 from qtgrad import quadprob, termination3d
 from qtgrad.errors import Degenerate, LinearDependence
 from qtgrad.quadsolver import QuadSolverConfig, solve_new
-from qtgrad.stepsizes import StepPair, bb1, bb2, bbq_stepsize, sd_stepsize
+from qtgrad.stepsizes import bbq_stepsize, sd_stepsize
 from qtgrad.termination3d import (
     GradientHistory,
     HMatrix,
@@ -43,11 +43,12 @@ def bb1_trajectory(p, x0, steps):
         hist.set_stepsize(alpha)
         x_new = x - alpha * g
         g_new = quadprob.gradient(p, x_new)
-        pair = StepPair.from_vectors(x_new - x, g_new - g)
-        hist.push(float(g_new @ g_new), bb1(pair), bb2(pair))
+        s, y = x_new - x, g_new - g
+        ss, sy, yy = float(s @ s), float(s @ y), float(y @ y)
+        hist.push(float(g_new @ g_new), ss / sy, sy / yy)
         grads.append(g_new.copy())
         x, g = x_new, g_new
-        alpha = bb1(pair)
+        alpha = ss / sy
     return hist, grads
 
 
