@@ -15,10 +15,10 @@ Four verbs:
 ``verify3d`` and ``uncbench`` reject values they would not use (set, n,
 eps, tau1 and gamma for the first; set, n, kappa and more than one seed
 for the second, whose test functions each have one fixed start).  A
-grid is checked whole before its first cell runs.  A cell is one
-(method, problem) with all its eps values and seeds: (method, set, n,
-kappa) for ``quadbench``, (method, function) for ``uncbench`` and
-(method, kappa) for ``verify3d``.
+grid is checked whole before its first cell runs, and no list in it may
+hold a value twice.  A cell is one (method, problem) with all its eps
+values and seeds: (method, set, n, kappa) for ``quadbench``, (method,
+function) for ``uncbench`` and (method, kappa) for ``verify3d``.
 
 The run verbs write ``<out>_runs.csv`` (one row per run) and
 ``<out>_agg.csv`` (per-cell means over solved runs); ``--trace`` adds
@@ -31,10 +31,11 @@ column).  Rows are sorted by (method, set, n, kappa, eps, seed)
 regardless of worker scheduling; set QTGRAD_WORKERS to parallelize over
 cells.
 
-Configuration is plain ``key=value`` lines (``#`` comments allowed),
-with precedence defaults < preset < file < flags.  Named presets bundle
-the per-set (tau1, gamma) pairs used in the source tables; with no
-preset and no flags the solvers run on their own defaults.
+Configuration is plain ``key=value`` lines, where a ``#`` at the start
+of a line or after whitespace begins a comment, with precedence
+defaults < preset < file < flags.  Named presets bundle the per-set
+(tau1, gamma) pairs used in the source tables; with no preset and no
+flags the solvers run on their own defaults.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -129,6 +131,11 @@ class ExperimentSpec:
             raise InvalidSpec("seeds must be at least 1")
         if not (self.sets and self.ns and self.kappas and self.epss):
             raise InvalidSpec("grids must be non-empty")
+        # a repeated value would run its cells twice under one row key
+        for name in ("methods", "sets", "ns", "kappas", "epss"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InvalidSpec(f"{name} holds a value twice: {values}")
         if self.experiment == "quadbench":
             # every problem of the grid, before its first cell runs
             for s in self.sets:
@@ -437,12 +444,14 @@ def _read_runs(path):
                     row[c] = int(float(row[c]))
                 for c in ("kappa", "eps", "final_gnorm", "time_ms"):
                     row[c] = float(row[c])
+                if not 0.0 <= row[c] < math.inf:   # c is time_ms
+                    raise ValueError
                 c = "final_f"
                 val = row.get(c)
                 row[c] = float(val) if val not in (None, "") else math.nan
             except (TypeError, ValueError, OverflowError):
                 raise InvalidInput(f"{path}:{reader.line_num}: column {c}"
-                                   f" holds {row.get(c)!r}") from None
+                                   f" holds {raw.get(c)!r}") from None
             rows.append(row)
     if not rows:
         raise InvalidInput(f"{path}: no data rows")
@@ -460,11 +469,12 @@ def performance_profile(run_csv, metric: str, out_path=None):
 
 
 def parse_config(path):
-    """Read key=value lines; '#' starts a comment, blanks are skipped."""
+    """Read key=value lines; blanks are skipped, and a '#' that begins the
+    line or follows whitespace starts a comment (``out=run#1`` is a value)."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
+            body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not body:
                 continue
             if "=" not in body:

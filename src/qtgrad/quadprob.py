@@ -72,11 +72,6 @@ class QuadraticProblem:
         return self.spectrum.size
 
     @property
-    def kappa(self) -> float:
-        """Realized condition number max(v) / min(v)."""
-        return float(self.spectrum.max() / self.spectrum.min())
-
-    @property
     def hessian_diag(self) -> np.ndarray:
         return self.grad_scale * self.spectrum
 
@@ -133,11 +128,9 @@ def _spectrum(set_id: int, n: int, kappa: float, rng: np.random.Generator) -> np
         v[1 + lo_count : -1] = _open_uniform(
             rng, kappa / 2.0, kappa, n - 2 - lo_count
         )
-    elif set_id == 4:
+    else:   # set 4; generate has checked set_id
         j = np.arange(1, n + 1, dtype=float)
         v = kappa ** ((n - j) / (n - 1.0))
-    else:
-        raise InvalidSpec(f"unknown set id {set_id}")
     return v
 
 

@@ -20,11 +20,11 @@ every step, and the kernel's scratch vector y of min(n,
 the kernel's stores start on cache lines: a misaligned store costs about
 twice an aligned one, and where plain ``np.empty`` puts a vector depends
 on heap history.  The problem's spectrum and x* are only read and stay
-where they are, since misaligning them measured no difference.  Up to
-``kernels.BLOCK`` elements it also keeps vs = grad_scale * spectrum, so
-that the kernel skips its scaling multiply, and at every size a 0-d
-array a0 that carries each stepsize into the kernel at less dispatch
-cost than a Python float; both leave the arithmetic bitwise the same.
+where they are, since misaligning them measured no difference.  It also
+keeps vs = grad_scale * spectrum, so that the kernel skips its scaling
+multiply at every n, and a 0-d array a0 that carries each stepsize into
+the kernel at less dispatch cost than a Python float; both leave the
+arithmetic bitwise the same.
 The kernel allocates nothing per iteration, and the objective value,
 taken at the end and in traced runs, writes x - x* into the idle g_next.
 """
@@ -109,12 +109,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     g_next = kernels.aligned_empty(n)
     y = kernels.aligned_empty(min(n, kernels.BLOCK))
     gg = kernels.quad_gradient(v, xs, x, gscale, g)
-    # the kernel's spectrum and scale: pre-scaled up to BLOCK, where the
-    # copy is small; above it an n-sized copy would cost more memory
-    if n <= kernels.BLOCK:
-        vs, kscale = gscale * v, 1.0
-    else:
-        vs, kscale = v, gscale
+    vs = p.hessian_diag   # the kernel's pre-scaled spectrum, scale 1.0
     a0 = np.empty(())   # the stepsize as the kernel takes it
     hist = GradientHistory()
     if gg > 0.0:
@@ -145,7 +140,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         gg_old = gg
         hist.set_stepsize(alpha)
         a0[()] = alpha
-        gy, yy, gg = kernels.quad_step(vs, xs, x, g, g_next, a0, kscale, y)
+        gy, yy, gg = kernels.quad_step(vs, xs, x, g, g_next, a0, 1.0, y)
         g, g_next = g_next, g
         it += 1
         rep.count(branch)

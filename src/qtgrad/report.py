@@ -57,7 +57,3 @@ class RunReport:
 
     def count(self, branch: str) -> None:
         self.branch_counts[branch] = self.branch_counts.get(branch, 0) + 1
-
-    @property
-    def solved(self) -> bool:
-        return self.status == STATUS_OK

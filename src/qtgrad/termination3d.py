@@ -124,22 +124,21 @@ class GradientHistory:
 
     def push(self, gnorm_sq: float, bb1: float = math.nan,
              bb2: float = math.nan) -> None:
-        """Drop the oldest iterate and append a new one, stepsize unset."""
-        if not gnorm_sq > 0.0:
-            raise ValueError(f"gnorm_sq = {gnorm_sq} must be positive")
+        """Drop the oldest iterate and append a new one, stepsize unset.
+        Unchecked: both solvers push Python floats, and only when g'g > 0."""
         # unrolled: a loop over (slot, value) pairs costs twice as much
         s = self.gnorm_sq
         del s[0]
-        s.append(float(gnorm_sq))
+        s.append(gnorm_sq)
         s = self.stepsize
         del s[0]
         s.append(math.nan)
         s = self.bb1
         del s[0]
-        s.append(float(bb1))
+        s.append(bb1)
         s = self.bb2
         del s[0]
-        s.append(float(bb2))
+        s.append(bb2)
 
     def set_stepsize(self, stepsize: float) -> None:
         """Record the stepsize taken from the newest iterate."""

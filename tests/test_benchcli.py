@@ -127,6 +127,17 @@ def test_print_config_roundtrips(tmp_path, capsys):
     assert spec == direct
 
 
+def test_print_config_roundtrips_a_hash_in_the_value(tmp_path, capsys):
+    # the first '#' used to start a comment, so out=run#1 read back as run
+    out = str(tmp_path / "run#1")
+    assert main(["quadbench", "--print-config", "--out", out]) == 0
+    cfg = tmp_path / "printed.cfg"
+    cfg.write_text(capsys.readouterr().out + "#trailing comment\n")
+    spec = resolve_spec("quadbench", make_args(config=str(cfg)))
+    assert spec.out == out
+    assert spec == resolve_spec("quadbench", make_args(out=out))
+
+
 @pytest.mark.parametrize("kw", [
     dict(experiment="mystery"),
     dict(methods=()),
@@ -147,6 +158,12 @@ def test_print_config_roundtrips(tmp_path, capsys):
     dict(kappas=(100.0, 1.0)),
     dict(gamma=math.nan),
     dict(gamma=math.inf),
+    # a repeated value ran its cells twice, under one row key
+    dict(methods=("bb", "bb")),
+    dict(sets=(4, 4)),
+    dict(ns=(20, 40, 20)),
+    dict(kappas=(100.0, 1e2)),
+    dict(epss=(1e-8, 1e-8)),
 ])
 def test_spec_validation_rejects(tmp_path, kw):
     with pytest.raises(InvalidSpec):
@@ -461,6 +478,9 @@ def test_profile_rejects_malformed_csv(tmp_path):
     ("iters", "abc"),       # not a number
     ("nfe", None),          # truncated row
     ("iters", "nan"),       # nan in an integer column
+    ("time_ms", "nan"),     # a time no profile can rank
+    ("time_ms", "inf"),
+    ("time_ms", "-1.0"),
 ])
 def test_main_rejects_bad_cells_in_runs_csv(tmp_path, capsys, cell, value):
     runs_path, _ = run_experiment(spec_for(tmp_path))
@@ -477,6 +497,18 @@ def test_main_rejects_bad_cells_in_runs_csv(tmp_path, capsys, cell, value):
 
 
 # ------------------------------------------------------------------- main
+
+
+def test_main_profile_writes_curves(tmp_path, capsys):
+    runs_path, _ = run_experiment(spec_for(tmp_path))
+    out = tmp_path / "prof.csv"
+    capsys.readouterr()
+    assert main(["profile", runs_path, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["bb: solved 2/2", "new: solved 2/2", f"wrote {out}"]
+    header, rows = read_csv(str(out))
+    assert header == ["method", "rho", "fraction"]
+    assert {r[0] for r in rows} == {"bb", "new"}
 
 
 def test_main_runs_quadbench(tmp_path, capsys):
@@ -535,6 +567,11 @@ def test_main_exit_codes(tmp_path, capsys):
     # of every kappa before the bad one
     ["verify3d", "--kappa", "100,1.0"],
     ["verify3d", "--kappa", "nan"],
+    # a repeated grid value ran its cells twice and wrote duplicate rows,
+    # which profile then rejected
+    ["quadbench", "--set", "4,4", "--n", "20", "--kappa", "100", "--seeds",
+     "2", "--methods", "bb,bb", "--zero-times"],
+    ["quadbench", "--kappa", "100,1e2"],
 ])
 def test_main_rejects_flags_the_verb_ignores(tmp_path, capsys, monkeypatch,
                                              argv):

@@ -73,17 +73,17 @@ def test_blocked_step_matches_whole_array_formula(n, gscale):
     v, xs, x, g = _random_case(n, gscale, n=n)
     alpha = 0.01
     x_ref, g_ref, dots_ref = _whole_array_step(v, xs, x, g, alpha, gscale)
-    if n <= kernels.BLOCK:
-        # the solver's call at this size: pre-scaled spectrum, scale 1.0
-        # and the stepsize as a 0-d array, bitwise the same
-        x_pre, g_pre = x.copy(), np.empty_like(g)
-        dots_pre = kernels.quad_step(gscale * v, xs, x_pre, g, g_pre,
-                                     np.array(alpha), 1.0, np.empty(n))
-        np.testing.assert_array_equal(x_pre, x_ref)
-        np.testing.assert_array_equal(g_pre, g_ref)
-        assert dots_pre == dots_ref
+    # the solver's call: pre-scaled spectrum, scale 1.0 and the stepsize
+    # as a 0-d array, bitwise the same as the unscaled call at every n
+    x_pre, g_pre = x.copy(), np.empty_like(g)
+    dots_pre = kernels.quad_step(gscale * v, xs, x_pre, g, g_pre,
+                                 np.array(alpha), 1.0,
+                                 np.empty(min(n, kernels.BLOCK)))
     g_new = np.empty_like(g)
     dots = kernels.quad_step(v, xs, x, g, g_new, alpha, gscale)
+    np.testing.assert_array_equal(x_pre, x)
+    np.testing.assert_array_equal(g_pre, g_new)
+    assert dots_pre == dots
     np.testing.assert_array_equal(x, x_ref)
     np.testing.assert_array_equal(g_new, g_ref)
     assert dots == pytest.approx(dots_ref, rel=1e-12)

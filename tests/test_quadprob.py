@@ -33,7 +33,7 @@ def test_realized_kappa_exact(set_id):
     p = quadprob.generate(set_id, n, 1e4, seed=2)
     assert p.spectrum.min() == 1.0
     assert p.spectrum.max() == 1e4
-    assert p.kappa == 1e4
+    assert p.spectrum.max() / p.spectrum.min() == 1e4
 
 
 def test_set2_blocks():

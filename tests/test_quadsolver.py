@@ -277,11 +277,41 @@ def test_bb_trace_carries_zero_tau():
 
 
 @pytest.mark.parametrize("solver", [solve_bb, solve_new])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_step_without_curvature_repeats_the_stepsize(monkeypatch, solver):
+    # a third step whose s'y comes out negative leaves no BB1 at the
+    # iterate it reaches, so the fourth repeats its stepsize ("fallback")
+    step, calls = kernels.quad_step, []
+
+    def flip(*args):
+        gy, yy, gg = step(*args)
+        calls.append(gy)
+        return (-gy if len(calls) == 3 else gy), yy, gg
+
+    monkeypatch.setattr(kernels, "quad_step", flip)
+    p = generate(1, 30, 1e3, seed=0)
+    rep = solver(p, starting_point(p, 0), QuadSolverConfig(keep_trace=True))
+    assert rep.status == STATUS_OK
+    assert rep.branch_counts["fallback"] == 1
+    rows = rep.trace
+    assert math.isnan(rows[2].bb1)
+    assert rows[3].branch == "fallback"
+    assert rows[3].stepsize == rows[2].stepsize
+
+
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "short", "long", "2d"])
 def test_nonfinite_start_is_invalid_input(solver, bad):
+    # a start of the wrong dimension is rejected like a non-finite one
     p = generate(1, 10, 1e2, seed=0)
     x0 = starting_point(p, 0)
-    x0[3] = bad
+    if bad == "short":
+        x0 = x0[:-1]
+    elif bad == "long":
+        x0 = np.append(x0, 0.0)
+    elif bad == "2d":
+        x0 = x0.reshape(2, 5)
+    else:
+        x0[3] = bad
     with pytest.raises(InvalidInput):
         solver(p, x0)
 
@@ -301,7 +331,6 @@ def test_overflowing_start_gradient_reports_nonfinite(solver, index, big):
     x0[index] = big
     rep = solver(p, x0)
     assert rep.status == STATUS_NONFINITE
-    assert not rep.solved
     assert rep.iterations == 0
 
 
@@ -312,7 +341,6 @@ def test_underflowing_sd_curvature_reports_nonfinite(solver):
     p = QuadraticProblem(spectrum=np.full(4, 1e-10), x_star=np.zeros(4))
     rep = solver(p, np.full(4, 1e-150))
     assert rep.status == STATUS_NONFINITE
-    assert not rep.solved
     assert rep.iterations == 0
     assert "g'Ag" in rep.message
 
@@ -325,7 +353,6 @@ def test_gradient_overflowing_mid_run_reports_nonfinite(solver):
     p = QuadraticProblem(spectrum=np.array([1.0, 1e12]), x_star=np.zeros(2))
     rep = solver(p, [1e150, 1e128])
     assert rep.status == STATUS_NONFINITE
-    assert not rep.solved
     assert rep.iterations == 2
     assert "fallback" not in rep.branch_counts
 
@@ -378,8 +405,8 @@ def test_misaligned_problem_arrays_give_the_same_run(solver, set_id, n):
 
 @pytest.mark.parametrize("solver", [solve_bb, solve_new])
 def test_blocked_path_follows_reference_trajectory(solver):
-    # above kernels.BLOCK the solver hands the kernel the unscaled
-    # spectrum with gscale 2.0 and runs it block by block
+    # above kernels.BLOCK the kernel runs block by block on the solver's
+    # pre-scaled spectrum
     p = generate(1, kernels.BLOCK + 7, 1e2, seed=0)
     x0 = starting_point(p, 0)
     rep = solver(p, x0, QuadSolverConfig(eps=1e-6, keep_trace=True))
@@ -435,7 +462,6 @@ def test_verify3d_overflowing_start_reports_nonfinite(method, kappa):
     # g'g itself at 1e200 (HMatrix raised ValueError, bb1 reported ok)
     rep = verify_3d_termination(kappa, method, seed=0)
     assert rep.status == STATUS_NONFINITE
-    assert not rep.solved
 
 
 @pytest.mark.parametrize("method", quadsolver.VERIFY_METHODS)
