@@ -41,6 +41,7 @@ flags the solvers run on their own defaults.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import math
 import os
@@ -79,6 +80,9 @@ AGG_COLUMNS = ("method", "set", "n", "kappa", "eps", "runs", "solved",
 TRACE_COLUMNS = ("method", "set", "n", "kappa", "eps", "seed", "k",
                  "branch", "stepsize", "gnorm", "fval", "bb1", "bb2",
                  "tau")
+
+# A '#' that begins a config line or follows whitespace starts a comment.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 # Values a verb does not use, as (key, spec field, the one value
 # allowed): verify3d runs one 3-d problem on a fixed schedule with no
@@ -414,14 +418,7 @@ def build_profile(rows, metric: str):
     curves = []
     for m in methods:
         rs = sorted(ratios[m])
-        fracs = []
-        for rho in points:
-            cnt = 0
-            for x in rs:
-                if x > rho:
-                    break
-                cnt += 1
-            fracs.append(cnt / total)
+        fracs = [bisect.bisect_right(rs, rho) / total for rho in points]
         curves.append(ProfileCurve(m, tuple(points), tuple(fracs),
                                    solved=sum(1 for x in rs
                                               if math.isfinite(x)),
@@ -442,6 +439,8 @@ def _read_runs(path):
             try:
                 for c in ("n", "seed", "iters", "nfe", "ngrad"):
                     row[c] = int(float(row[c]))
+                    if row[c] < 0:
+                        raise ValueError
                 for c in ("kappa", "eps", "final_gnorm", "time_ms"):
                     row[c] = float(row[c])
                 if not 0.0 <= row[c] < math.inf:   # c is time_ms
@@ -474,7 +473,7 @@ def parse_config(path):
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+            body = _COMMENT.split(line, maxsplit=1)[0].strip()
             if not body:
                 continue
             if "=" not in body:
@@ -572,6 +571,12 @@ def resolve_spec(verb: str, args) -> ExperimentSpec:
 
 def print_config(spec: ExperimentSpec) -> None:
     """Emit the resolved spec as config-file syntax, one key per line."""
+    line = f"out={spec.out}"
+    # parse_config would cut a comment, break the line or strip the ends
+    if (_COMMENT.search(line) or "\n" in line or "\r" in line
+            or spec.out != spec.out.strip()):
+        raise InvalidSpec(f"--print-config cannot write out {spec.out!r}: "
+                          "a config file would not read it back")
     print(f"experiment={spec.experiment}")
     print(f"methods={','.join(spec.methods)}")
     print(f"set={','.join(str(s) for s in spec.sets)}")
@@ -583,7 +588,7 @@ def print_config(spec: ExperimentSpec) -> None:
         print(f"tau1={spec.tau1!r}")
     if spec.gamma is not None:
         print(f"gamma={spec.gamma!r}")
-    print(f"out={spec.out}")
+    print(line)
     print(f"trace={int(spec.trace)}")
     print(f"zero_times={int(spec.zero_times)}")
 

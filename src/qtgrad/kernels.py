@@ -18,10 +18,9 @@ whole arrays, the same arithmetic bit for bit.
 At small n a step costs numpy call dispatch, not flops, so the kernel
 takes two shortcuts from its caller.  ``alpha`` may be a 0-d float64
 array, which numpy multiplies by at less dispatch cost than a Python
-float; the product is the same.  And the caller may pass the
-pre-scaled spectrum ``gscale * v`` with ``gscale`` 1.0, which skips one
-multiply per step: gscale is 1 or 2, and doubling is exact outside the
-overflow and subnormal ranges, so the gradient is bitwise the same.
+float; the product is the same.  And with ``gscale`` 1.0, as the
+solver passes it for a spectrum that is the Hessian's diagonal, the
+kernel skips its scaling multiply.
 
 The vectors a step writes (x, g_new and the scratch y) should start on a
 cache-line boundary of ``ALIGN`` = 64 bytes, which :func:`aligned_empty`
@@ -83,8 +82,8 @@ def quad_step(v, xstar, x, g_old, g_new, alpha, gscale, y=None):
     Returns (g_old'y, y'y, g_new'g_new) where y = g_new - g_old.  The
     caller derives s's and s'y from alpha and ||g_old||^2, which it
     already has from the previous call.  ``alpha`` is a float or a 0-d
-    float64 array; the gradient is ``gscale * v * (x - xstar)``, so ``v``
-    may come pre-scaled with ``gscale`` 1.0.  ``y`` is scratch space of
+    float64 array; the gradient is ``gscale * v * (x - xstar)``, and
+    ``gscale`` 1.0 skips a multiply.  ``y`` is scratch space of
     min(n, BLOCK) elements; it is allocated here, aligned, when omitted.
     """
     n = x.shape[0]

@@ -1,13 +1,12 @@
 """Diagonal quadratic test problems for the benchmark.
 
-Every problem is f(x) = (x - x*)' diag(v) (x - x*), with gradient
-2 diag(v)(x - x*).  The Hessian is 2 diag(v), so the eigenvalues are 2 v_j.
-
-Benchmark problems take one of five spectrum recipes (``SET_IDS``): sets 1,
-3 and 5 pin v_1 = 1 and v_n = kappa with random interiors, set 2 draws two
+Every problem is f(x) = 1/2 (x - x*)' diag(h) (x - x*), whose spectrum h
+is the Hessian's diagonal.  Benchmark problems take one of five recipes
+(``SET_IDS``) for v = h / 2, so f = (x - x*)' diag(v) (x - x*): sets 1, 3
+and 5 pin v_1 = 1 and v_n = kappa with random interiors, set 2 draws two
 clusters near 1 and near kappa, and set 4 is the deterministic geometric
 ladder kappa^((n-j)/(n-1)).  The tiny verification problem has x* = 0 and
-spectrum (1/2, kappa/4, kappa/2), so its Hessian is diag(1, kappa/2, kappa).
+Hessian diag(1, kappa/2, kappa).
 
 Randomness: a single integer seed feeds ``numpy.random.SeedSequence``;
 independent streams are split off with spawn keys so that the spectrum,
@@ -40,13 +39,13 @@ _START_KEY = 2
 class QuadraticProblem:
     """A diagonal quadratic with known solution.
 
-    ``spectrum`` is the diagonal v, not the Hessian eigenvalues; those are
-    ``grad_scale * v``.  f = ``value_scale`` (x - x*)' diag(v) (x - x*).
-    ``seed`` feeds :func:`starting_point`.
+    ``spectrum`` is the Hessian's diagonal h: f = 1/2 (x - x*)' diag(h)
+    (x - x*), so ``grad_scale`` is 1 and ``value_scale`` 1/2.  ``seed``
+    feeds :func:`starting_point`.
     """
 
-    grad_scale = 2.0
-    value_scale = 1.0
+    grad_scale = 1.0
+    value_scale = 0.5
 
     spectrum: np.ndarray
     x_star: np.ndarray
@@ -71,23 +70,16 @@ class QuadraticProblem:
     def n(self) -> int:
         return self.spectrum.size
 
-    @property
-    def hessian_diag(self) -> np.ndarray:
-        return self.grad_scale * self.spectrum
-
 
 def value(p: QuadraticProblem, x: np.ndarray) -> float:
     d = np.asarray(x, dtype=float) - p.x_star
     return p.value_scale * float(d @ (p.spectrum * d))
 
 def gradient(p: QuadraticProblem, x: np.ndarray) -> np.ndarray:
-    d = np.asarray(x, dtype=float) - p.x_star
-    return p.grad_scale * (p.spectrum * d)
+    return p.spectrum * (np.asarray(x, dtype=float) - p.x_star)
 
 def hess_vec(p: QuadraticProblem, d: np.ndarray) -> np.ndarray:
-    out = p.spectrum * np.asarray(d, dtype=float)
-    out *= p.grad_scale     # in place: one n-sized temporary, not two
-    return out
+    return p.spectrum * np.asarray(d, dtype=float)
 
 
 def _stream(seed: int, key: tuple) -> np.random.Generator:
@@ -143,8 +135,9 @@ def check_kappa(kappa: float) -> None:
 def check_spec(set_id: int, n: int, kappa: float) -> None:
     """Raise InvalidSpec unless :func:`generate` accepts (set_id, n, kappa).
 
-    n is an integer of at least 3, kappa lies in (1, inf), set 2 needs
-    an even n, and sets 3 and 5 need n divisible by 5 and kappa >= 100.
+    n is an integer of at least 3, kappa lies in (1, inf) and so does the
+    largest Hessian eigenvalue 2 kappa, set 2 needs an even n, and sets 3
+    and 5 need n divisible by 5 and kappa >= 100.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise InvalidSpec("n must be an integer")
@@ -153,6 +146,8 @@ def check_spec(set_id: int, n: int, kappa: float) -> None:
     if set_id not in SET_IDS:
         raise InvalidSpec(f"unknown set id {set_id}")
     check_kappa(kappa)
+    if not 2.0 * kappa < np.inf:
+        raise InvalidSpec("2 kappa, the largest Hessian eigenvalue, must be finite")
     if set_id == 2 and n % 2 != 0:
         raise InvalidSpec("set 2 needs even n")
     if set_id in (3, 5):
@@ -165,14 +160,15 @@ def check_spec(set_id: int, n: int, kappa: float) -> None:
 def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
     """Generate one benchmark problem.
 
-    ``x*`` is uniform on [-10, 10]^n from the (1,) stream; the spectrum
-    comes from the (0,) stream so changing one never perturbs the other.
-    Raises InvalidSpec where :func:`check_spec` does.
+    ``x*`` is uniform on [-10, 10]^n from the (1,) stream and the spectrum,
+    twice the set's recipe, from the (0,) stream, so changing one never
+    perturbs the other.  Raises InvalidSpec where :func:`check_spec` does.
     """
     check_spec(set_id, n, kappa)
     spec_rng = _stream(seed, _SPECTRUM_KEY)
     xstar_rng = _stream(seed, _XSTAR_KEY)
     v = _spectrum(set_id, n, kappa, spec_rng)
+    v *= 2.0
     x_star = xstar_rng.uniform(-10.0, 10.0, size=n)
     return QuadraticProblem(spectrum=v, x_star=x_star, seed=int(seed))
 
@@ -180,8 +176,8 @@ def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
 def verification_problem(kappa: float) -> QuadraticProblem:
     """The 3-d problem with Hessian diag(1, kappa/2, kappa) and x* = 0."""
     check_kappa(kappa)
-    v = np.array([0.5, kappa / 4.0, kappa / 2.0])
-    return QuadraticProblem(spectrum=v, x_star=np.zeros(3))
+    h = np.array([1.0, kappa / 2.0, kappa])
+    return QuadraticProblem(spectrum=h, x_star=np.zeros(3))
 
 
 def starting_point(p: QuadraticProblem, replicate: int) -> np.ndarray:

@@ -20,11 +20,10 @@ every step, and the kernel's scratch vector y of min(n,
 the kernel's stores start on cache lines: a misaligned store costs about
 twice an aligned one, and where plain ``np.empty`` puts a vector depends
 on heap history.  The problem's spectrum and x* are only read and stay
-where they are, since misaligning them measured no difference.  It also
-keeps vs = grad_scale * spectrum, so that the kernel skips its scaling
-multiply at every n, and a 0-d array a0 that carries each stepsize into
-the kernel at less dispatch cost than a Python float; both leave the
-arithmetic bitwise the same.
+where they are, since misaligning them measured no difference.  The
+spectrum is the Hessian's diagonal, which the kernels take at scale 1.0
+with no scaling multiply, and a 0-d array a0 carries each stepsize into
+the kernel at less dispatch cost than a Python float.
 The kernel allocates nothing per iteration, and the objective value,
 taken at the end and in traced runs, writes x - x* into the idle g_next.
 """
@@ -96,9 +95,9 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     so that wrappers patched onto them see every call.
     """
     t0 = time.perf_counter()
-    v, xs, gscale = p.spectrum, p.x_star, p.grad_scale
+    h, xs = p.spectrum, p.x_star
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != v.shape:
+    if x0.shape != h.shape:
         raise InvalidInput("x0 has the wrong dimension")
     if not np.all(np.isfinite(x0)):
         raise InvalidInput("x0 has entries that are not finite")
@@ -108,8 +107,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     g = kernels.aligned_empty(n)
     g_next = kernels.aligned_empty(n)
     y = kernels.aligned_empty(min(n, kernels.BLOCK))
-    gg = kernels.quad_gradient(v, xs, x, gscale, g)
-    vs = p.hessian_diag   # the kernel's pre-scaled spectrum, scale 1.0
+    gg = kernels.quad_gradient(h, xs, x, 1.0, g)
     a0 = np.empty(())   # the stepsize as the kernel takes it
     hist = GradientHistory()
     if gg > 0.0:
@@ -123,7 +121,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         rep.status = status
         rep.message = message
         rep.final_gnorm = math.sqrt(gg)
-        rep.final_f = kernels.quad_value(v, xs, x, p.value_scale, g_next)
+        rep.final_f = kernels.quad_value(h, xs, x, p.value_scale, g_next)
         rep.wall_time = time.perf_counter() - t0
         return rep
 
@@ -140,7 +138,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         gg_old = gg
         hist.set_stepsize(alpha)
         a0[()] = alpha
-        gy, yy, gg = kernels.quad_step(vs, xs, x, g, g_next, a0, 1.0, y)
+        gy, yy, gg = kernels.quad_step(h, xs, x, g, g_next, a0, 1.0, y)
         g, g_next = g_next, g
         it += 1
         rep.count(branch)
@@ -155,7 +153,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         if cfg.keep_trace:
             rep.trace.append(TraceRecord(
                 k=it, stepsize=alpha, branch=branch, gnorm=math.sqrt(gg),
-                fval=kernels.quad_value(v, xs, x, p.value_scale, g_next),
+                fval=kernels.quad_value(h, xs, x, p.value_scale, g_next),
                 bb1=new_bb1, bb2=new_bb2, tau=tau))
         if math.sqrt(gg) <= gtol:
             return finish(STATUS_OK)

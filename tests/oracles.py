@@ -50,8 +50,8 @@ def bisect_largest_eig(h, steps: int = 200) -> float:
     return hi
 
 
-def reference_trajectory(diag, x_star, x0, alphas, grad_scale=2.0):
-    """Gradient iterates of f with Hessian 2*diag (or diag), dense numpy.
+def reference_trajectory(diag, x_star, x0, alphas, grad_scale):
+    """Gradient iterates of f with Hessian grad_scale * diag, dense numpy.
 
     Returns the list of gradients g_1 .. g_{len(alphas)+1}.
     """

@@ -136,6 +136,13 @@ def test_print_config_roundtrips_a_hash_in_the_value(tmp_path, capsys):
     spec = resolve_spec("quadbench", make_args(config=str(cfg)))
     assert spec.out == out
     assert spec == resolve_spec("quadbench", make_args(out=out))
+    # a comment, a line break or end whitespace was printed as it is and
+    # read back as something else; such an out is now an error
+    for bad in ("run #1", " run", "run\t", "run\nseeds=3", "a\rb"):
+        assert main(["quadbench", "--print-config", "--out", bad]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "cannot write out" in printed.err
 
 
 @pytest.mark.parametrize("kw", [
@@ -156,6 +163,7 @@ def test_print_config_roundtrips_a_hash_in_the_value(tmp_path, capsys):
     dict(sets=(2,), ns=(20, 21)),
     dict(ns=(2,)),
     dict(kappas=(100.0, 1.0)),
+    dict(kappas=(1e308,)),            # its Hessian, 2 kappa, overflows
     dict(gamma=math.nan),
     dict(gamma=math.inf),
     # a repeated value ran its cells twice, under one row key
@@ -481,6 +489,12 @@ def test_profile_rejects_malformed_csv(tmp_path):
     ("time_ms", "nan"),     # a time no profile can rank
     ("time_ms", "inf"),
     ("time_ms", "-1.0"),
+    # a negative count made a performance ratio below 1
+    ("iters", "-5"),
+    ("nfe", "-1"),
+    ("ngrad", "-1"),
+    ("n", "-100"),
+    ("seed", "-1"),
 ])
 def test_main_rejects_bad_cells_in_runs_csv(tmp_path, capsys, cell, value):
     runs_path, _ = run_experiment(spec_for(tmp_path))

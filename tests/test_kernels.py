@@ -13,8 +13,9 @@ def _random_case(seed, gscale, n=64):
     return v, xs, x, g
 
 
-# gscale 2.0 is the problems' gradient scale; 1.0 is how the solver calls
-# the kernel on a pre-scaled spectrum, which skips the scaling multiply.
+# gscale 1.0 is how the solver calls the kernel on a spectrum that is
+# the Hessian's diagonal, which skips the scaling multiply; 2.0 scales a
+# spectrum that is half the Hessian.
 @pytest.mark.parametrize("gscale", [1.0, 2.0])
 def test_kernel_matches_dense_formulas(gscale):
     v, xs, x, g = _random_case(0, gscale)
@@ -73,7 +74,7 @@ def test_blocked_step_matches_whole_array_formula(n, gscale):
     v, xs, x, g = _random_case(n, gscale, n=n)
     alpha = 0.01
     x_ref, g_ref, dots_ref = _whole_array_step(v, xs, x, g, alpha, gscale)
-    # the solver's call: pre-scaled spectrum, scale 1.0 and the stepsize
+    # the solver's call: the scaled spectrum, scale 1.0 and the stepsize
     # as a 0-d array, bitwise the same as the unscaled call at every n
     x_pre, g_pre = x.copy(), np.empty_like(g)
     dots_pre = kernels.quad_step(gscale * v, xs, x_pre, g, g_pre,

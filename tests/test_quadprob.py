@@ -11,35 +11,48 @@ def test_value_gradient_hessvec_against_dense():
     p = quadprob.generate(1, 20, 1e3, seed=5)
     x = quadprob.starting_point(p, 0)
     d = x - p.x_star
-    assert quadprob.value(p, x) == pytest.approx(float(d @ (p.spectrum * d)), rel=1e-14)
-    np.testing.assert_allclose(quadprob.gradient(p, x), 2.0 * p.spectrum * d, rtol=1e-14)
-    np.testing.assert_allclose(quadprob.hess_vec(p, d), 2.0 * p.spectrum * d, rtol=1e-14)
+    v = p.spectrum / 2.0    # f = (x - x*)' diag(v) (x - x*)
+    assert quadprob.value(p, x) == pytest.approx(float(d @ (v * d)), rel=1e-14)
+    np.testing.assert_allclose(quadprob.gradient(p, x), 2.0 * v * d, rtol=1e-14)
+    np.testing.assert_allclose(quadprob.hess_vec(p, d), 2.0 * v * d, rtol=1e-14)
 
 
 def test_verification_problem_hessian():
     # f = x' H x / 2 with H = diag(1, kappa/2, kappa) and x* = 0
     p = quadprob.verification_problem(10.0)
     x = np.array([1.0, 2.0, -1.0])
-    h = p.hessian_diag
+    h = p.spectrum
     assert quadprob.value(p, x) == pytest.approx(0.5 * float(x @ (h * x)))
     np.testing.assert_allclose(quadprob.gradient(p, x), h * x)
     np.testing.assert_allclose(h, [1.0, 5.0, 10.0])
     np.testing.assert_allclose(p.x_star, 0.0)
 
 
+@pytest.mark.parametrize("set_id", quadprob.SET_IDS)
+def test_spectrum_is_twice_the_recipe_bit_for_bit(set_id):
+    # the spectrum is the Hessian 2 v of the set's recipe v; doubling is
+    # exact, so the recipe and its condition number survive unrounded
+    n, kappa, seed = 20, 1e4, 3
+    p = quadprob.generate(set_id, n, kappa, seed)
+    rng = quadprob._stream(seed, quadprob._SPECTRUM_KEY)
+    v = quadprob._spectrum(set_id, n, kappa, rng)
+    np.testing.assert_array_equal(p.spectrum, 2.0 * v)
+    np.testing.assert_array_equal(p.spectrum / 2.0, v)
+
+
 @pytest.mark.parametrize("set_id", [1, 3, 4, 5])
 def test_realized_kappa_exact(set_id):
     n = 20
     p = quadprob.generate(set_id, n, 1e4, seed=2)
-    assert p.spectrum.min() == 1.0
-    assert p.spectrum.max() == 1e4
+    assert p.spectrum.min() == 2.0
+    assert p.spectrum.max() == 2e4
     assert p.spectrum.max() / p.spectrum.min() == 1e4
 
 
 def test_set2_blocks():
     kappa = 1e4
     p = quadprob.generate(2, 30, kappa, seed=9)
-    v = np.asarray(p.spectrum)
+    v = p.spectrum / 2.0    # the set's recipe
     lo = 1.0 + (kappa - 1.0) * 0.2
     hi = 1.0 + (kappa - 1.0) * 0.8
     small = v[v < lo]
@@ -52,7 +65,7 @@ def test_set2_blocks():
 def test_two_block_sets(set_id, lo_frac):
     n, kappa = 25, 1e4
     p = quadprob.generate(set_id, n, kappa, seed=4)
-    v = np.asarray(p.spectrum)
+    v = p.spectrum / 2.0    # the set's recipe
     low = v[v < 100.0]
     high = v[v >= kappa / 2.0]
     assert low.size == lo_frac * (n // 5)      # includes the endpoint 1
@@ -64,7 +77,7 @@ def test_set4_geometric():
     n, kappa = 12, 1e3
     p = quadprob.generate(4, n, kappa, seed=0)
     j = np.arange(1, n + 1, dtype=float)
-    np.testing.assert_allclose(p.spectrum, kappa ** ((n - j) / (n - 1.0)), rtol=1e-14)
+    np.testing.assert_allclose(p.spectrum, 2.0 * kappa ** ((n - j) / (n - 1.0)), rtol=1e-14)
 
 
 def test_generate_is_deterministic_and_streams_are_split():
@@ -94,6 +107,7 @@ def test_generate_is_deterministic_and_streams_are_split():
     (1, 20.0, 100.0, 0),    # ... even an integral one
     (1, True, 100.0, 0),    # ... or a bool
     (1, 10, math.inf, 0),   # kappa must be finite
+    (4, 10, 1e308, 0),      # ... and so must the Hessian's 2 kappa
 ])
 def test_generate_rejects_bad_specs(args):
     with pytest.raises(InvalidSpec):
@@ -128,7 +142,7 @@ def test_problem_validation():
 
 def test_problem_accepts_lists():
     # this raised AttributeError: 'list' object has no attribute 'shape'
-    p = quadprob.QuadraticProblem(spectrum=[1.0, 2.0, 3.0],
+    p = quadprob.QuadraticProblem(spectrum=[2.0, 4.0, 6.0],
                                   x_star=[0.0, 0.0, 0.0])
     assert p.spectrum.dtype == float and p.x_star.dtype == float
     assert p.x_star.shape == (3,)

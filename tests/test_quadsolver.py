@@ -41,8 +41,7 @@ from replay import SHORT_BRANCHES, replay_branches
 
 def with_hessian(h):
     """The quadratic with Hessian diag(h) and minimizer 0."""
-    v = 0.5 * np.asarray(h, dtype=float)
-    return QuadraticProblem(spectrum=v, x_star=np.zeros_like(v))
+    return QuadraticProblem(spectrum=h, x_star=np.zeros(len(h)))
 
 
 def test_first_step_is_exact_sd():
@@ -405,14 +404,14 @@ def test_misaligned_problem_arrays_give_the_same_run(solver, set_id, n):
 
 @pytest.mark.parametrize("solver", [solve_bb, solve_new])
 def test_blocked_path_follows_reference_trajectory(solver):
-    # above kernels.BLOCK the kernel runs block by block on the solver's
-    # pre-scaled spectrum
+    # above kernels.BLOCK the kernel runs block by block
     p = generate(1, kernels.BLOCK + 7, 1e2, seed=0)
     x0 = starting_point(p, 0)
     rep = solver(p, x0, QuadSolverConfig(eps=1e-6, keep_trace=True))
     assert rep.status == STATUS_OK
     grads = reference_trajectory(p.spectrum, p.x_star, x0,
-                                 [row.stepsize for row in rep.trace])
+                                 [row.stepsize for row in rep.trace],
+                                 p.grad_scale)
     for row, g in zip(rep.trace, grads[1:]):
         assert row.gnorm == pytest.approx(float(np.linalg.norm(g)),
                                           rel=1e-12)

@@ -210,7 +210,7 @@ def test_direct_route_terminates_3d_quadratics():
     rng = np.random.default_rng(3)
     for _ in range(25):
         lam = np.sort(rng.uniform(0.5, 200.0, size=3))
-        p = quadprob.QuadraticProblem(spectrum=lam / 2.0, x_star=np.zeros(3))
+        p = quadprob.QuadraticProblem(spectrum=lam, x_star=np.zeros(3))
         grads = [quadprob.gradient(p, rng.uniform(-5, 5, size=3))]
         for a in rng.uniform(0.1 / lam[2], 1.0 / lam[2], size=2):
             # synthetic gradient recursion g <- (I - a A) g
@@ -306,7 +306,7 @@ def test_alpha_new_routes_agree():
             continue
         assert a_rec == pytest.approx(a_dir, rel=1e-7)
         # reciprocal of an eigenvalue of a section of A
-        lam = p.hessian_diag
+        lam = p.spectrum
         assert 1.0 / lam.max() - 1e-12 <= a_rec <= 1.0 / lam.min() + 1e-12
 
 
