@@ -7,11 +7,10 @@ Usage::
 
 Runs ``python -m qtgrad.benchcli`` with ``PYTHONPATH=SRC`` (default: the
 ``src`` directory of this checkout) and ``--zero-times``, in a temporary
-directory, serially (``QTGRAD_WORKERS=1``) except where noted:
+directory:
 
 * the ROADMAP grid, ``quadbench --set 1,4 --n 100,1000 --kappa 1e2,1e4
   --eps 1e-6 --methods bb,new,bbq --seeds 20``;
-* the same grid through a process pool, with ``QTGRAD_WORKERS=2``;
 * a traced grid, ``quadbench --set 1,4 --n 100 --kappa 1e4 --eps 1e-6
   --methods bb,new,bbq --seeds 3 --trace``;
 * the solver's blocked path above ``kernels.BLOCK``, ``quadbench --set 1
@@ -22,9 +21,9 @@ directory, serially (``QTGRAD_WORKERS=1``) except where noted:
   Gram-Schmidt, at 1e8 one seed in ten degenerates at k = 6 in the BBQ
   step, and the kappa 1e300 rows overflow.
 
-It prints one ``sha256  file`` line per CSV, fifteen in all, and takes
-about 6 s.  Two source trees whose arithmetic agrees print the same
-lines.
+It prints one ``sha256  file`` line per CSV, thirteen in all, and takes
+about 3.5 s on a 2-vCPU host.  Two source trees whose arithmetic agrees
+print the same lines.
 
 With ``--against OTHER_SRC`` it runs the same set on both trees and
 prints one ``OTHER_SHA  SRC_SHA  file`` line for each CSV whose bytes
@@ -42,11 +41,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-GRID = ["quadbench", "--set", "1,4", "--n", "100,1000", "--kappa", "1e2,1e4",
-        "--eps", "1e-6", "--methods", "bb,new,bbq", "--seeds", "20"]
 RUNS = (
-    ("grid", GRID),
-    ("pool", GRID),
+    ("grid", ["quadbench", "--set", "1,4", "--n", "100,1000", "--kappa",
+              "1e2,1e4", "--eps", "1e-6", "--methods", "bb,new,bbq",
+              "--seeds", "20"]),
     ("traced", ["quadbench", "--set", "1,4", "--n", "100", "--kappa", "1e4",
                 "--eps", "1e-6", "--methods", "bb,new,bbq", "--seeds", "3",
                 "--trace"]),
@@ -57,8 +55,6 @@ RUNS = (
     ("v3d", ["verify3d", "--kappa", "1.5,2,100,1e4,1e8,1e300", "--seeds",
              "10", "--trace"]),
 )
-# QTGRAD_WORKERS of the runs that do not run serially
-WORKERS = {"pool": "2"}
 
 
 def digests(src: Path) -> dict[str, str]:
@@ -69,8 +65,7 @@ def digests(src: Path) -> dict[str, str]:
             subprocess.run(
                 [sys.executable, "-m", "qtgrad.benchcli", *args,
                  "--zero-times", "--out", os.path.join(tmp, prefix)],
-                cwd=tmp, check=True, stdout=subprocess.DEVNULL,
-                env=dict(env, QTGRAD_WORKERS=WORKERS.get(prefix, "1")))
+                cwd=tmp, check=True, stdout=subprocess.DEVNULL, env=env)
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(Path(tmp).glob("*.csv"))}
 

@@ -27,9 +27,8 @@ grids.  Columns are documented next to RAW_COLUMNS / AGG_COLUMNS below.
 All CSVs are UTF-8 with a header row; floats are written in scientific
 notation with nine significant digits, so equal runs produce equal files
 byte for byte (pass ``--zero-times`` to blank the one hardware-dependent
-column).  Rows are sorted by (method, set, n, kappa, eps, seed)
-regardless of worker scheduling; set QTGRAD_WORKERS to parallelize over
-cells.
+column).  A grid runs serially in one process, and its rows are sorted
+by (method, set, n, kappa, eps, seed) whatever the order of its lists.
 
 Configuration is plain ``key=value`` lines, where a ``#`` at the start
 of a line or after whitespace begins a comment, with precedence
@@ -47,7 +46,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import quadprob, testfuns
@@ -97,8 +95,8 @@ _UNUSED = {
 }
 
 # quadbench fixes the problem instance and varies the starting point, so
-# the seed column is the replicate index of the start.  _cells reads it
-# into every cell, so pool workers never read their own copy.
+# the seed column is the replicate index of the start.  _run_cell reads
+# it at each call, so a caller may set it between grids.
 PROBLEM_SEED = 0
 
 
@@ -220,13 +218,6 @@ def _trace_rows(rep: RunReport, row):
     return out
 
 
-def _unc_fn(name: str):
-    for f in testfuns.builtin_suite():
-        if f.name == name:
-            return f
-    raise InvalidSpec(f"unknown test function {name!r}")
-
-
 def _solver_config(exp, method, eps, tau1, gamma, trace=False):
     """One eps's quadbench or uncbench config; None keeps a default."""
     kw = {k: v for k, v in (("tau1", tau1), ("gamma", gamma)) if v is not None}
@@ -237,26 +228,30 @@ def _solver_config(exp, method, eps, tau1, gamma, trace=False):
                            keep_trace=trace, **kw)
 
 
-def _run_cell(cell):
+def _run_cell(spec: ExperimentSpec, method, problem):
     """Run one (method, problem) cell over its eps values and seeds.
 
-    Returns the run rows and trace rows.  Cells must stay picklable.
+    ``problem`` is a (set, n, kappa) triple, or for uncbench a test
+    function.  Returns the run rows and trace rows.
     """
-    exp, method, set_key, n, kappa, epss, seeds, pseed, tau1, gamma, trace = cell
+    exp, trace = spec.experiment, spec.trace
+    if exp == "uncbench":
+        set_key, n, kappa = problem.name, problem.dimension, 0.0
+    else:
+        set_key, n, kappa = problem
     if exp == "quadbench":
-        p = quadprob.generate(set_key, n, kappa, pseed)
-    elif exp == "uncbench":
-        f = _unc_fn(set_key)
+        p = quadprob.generate(set_key, n, kappa, PROBLEM_SEED)
     rows, traces = [], []
-    for eps in epss:
+    for eps in spec.epss:
         if exp != "verify3d":
-            cfg = _solver_config(exp, method, eps, tau1, gamma, trace)
-        for seed in range(seeds):
+            cfg = _solver_config(exp, method, eps, spec.tau1, spec.gamma,
+                                 trace)
+        for seed in range(spec.seeds):
             if exp == "verify3d":
                 rep = verify_3d_termination(kappa, method, seed,
                                             keep_trace=trace)
             elif exp == "uncbench":
-                rep = solve(f, cfg=cfg)
+                rep = solve(problem, cfg=cfg)
             elif method == "bb":
                 rep = solve_bb(p, quadprob.starting_point(p, seed), cfg)
             else:
@@ -265,32 +260,6 @@ def _run_cell(cell):
             rows.append(row)
             traces += _trace_rows(rep, row)
     return rows, traces
-
-
-def _cells(spec: ExperimentSpec):
-    if spec.experiment == "verify3d":
-        problems = [(0, 3, kappa) for kappa in spec.kappas]
-    elif spec.experiment == "quadbench":
-        problems = [(s, n, kappa) for s in spec.sets for n in spec.ns
-                    for kappa in spec.kappas]
-    else:
-        problems = [(f.name, f.dimension, 0.0)
-                    for f in testfuns.builtin_suite()]
-    pseed = PROBLEM_SEED
-    return [(spec.experiment, method, *problem, spec.epss, spec.seeds, pseed,
-             spec.tau1, spec.gamma, spec.trace)
-            for method in spec.methods for problem in problems]
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QTGRAD_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidSpec(f"QTGRAD_WORKERS must be an integer, got {raw!r}")
-    if n < 1:
-        raise InvalidSpec("QTGRAD_WORKERS must be at least 1")
-    return n
 
 
 ROW_KEY = ("method", "set", "n", "kappa", "eps", "seed")
@@ -342,20 +311,22 @@ def run_experiment(spec: ExperimentSpec):
     """Run every cell of the grid and write the run and aggregate CSVs.
 
     Returns the two paths.  Each cell runs one problem's eps values and
-    seeds and is a pure function of its parameters, PROBLEM_SEED among
-    them; the cells' rows are flattened and sorted before writing, so
-    execution order never affects the output.
+    seeds, in one loop in this process; the cells' rows are flattened
+    and sorted before writing, because the spec's lists and the suite
+    need not come in row order.
     """
     out_dir = os.path.dirname(spec.out) or "."
     if not os.path.isdir(out_dir):
         raise InvalidSpec(f"output directory {out_dir!r} does not exist")
-    cells = _cells(spec)
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_cell, cells))
+    if spec.experiment == "verify3d":
+        problems = [(0, 3, kappa) for kappa in spec.kappas]
+    elif spec.experiment == "quadbench":
+        problems = [(s, n, kappa) for s in spec.sets for n in spec.ns
+                    for kappa in spec.kappas]
     else:
-        results = [_run_cell(c) for c in cells]
+        problems = testfuns.builtin_suite()
+    results = [_run_cell(spec, method, problem)
+               for method in spec.methods for problem in problems]
     rows = [r for rs, _ in results for r in rs]
     traces = [t for _, ts in results for t in ts]
     if spec.zero_times:

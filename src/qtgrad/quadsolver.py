@@ -107,7 +107,11 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     g = kernels.aligned_empty(n)
     g_next = kernels.aligned_empty(n)
     y = kernels.aligned_empty(min(n, kernels.BLOCK))
-    gg = kernels.quad_gradient(h, xs, x, 1.0, g)
+    # the starting gradient, the SD step's g'Ag and the final value may
+    # overflow, which the run reports as "nonfinite"; numpy's overflow
+    # warning adds nothing, and no block is entered per iteration
+    with np.errstate(over="ignore"):
+        gg = kernels.quad_gradient(h, xs, x, 1.0, g)
     a0 = np.empty(())   # the stepsize as the kernel takes it
     hist = GradientHistory()
     if gg > 0.0:
@@ -121,7 +125,8 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         rep.status = status
         rep.message = message
         rep.final_gnorm = math.sqrt(gg)
-        rep.final_f = kernels.quad_value(h, xs, x, p.value_scale, g_next)
+        with np.errstate(over="ignore"):
+            rep.final_f = kernels.quad_value(h, xs, x, p.value_scale, g_next)
         rep.wall_time = time.perf_counter() - t0
         return rep
 
@@ -131,7 +136,8 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     if math.sqrt(gg) <= gtol:
         return finish(STATUS_OK)
     try:
-        alpha, branch = sd_stepsize(g, quadprob.hess_vec(p, g)), "sd"
+        with np.errstate(over="ignore"):
+            alpha, branch = sd_stepsize(g, quadprob.hess_vec(p, g)), "sd"
     except NumericalFailure as exc:
         return finish(STATUS_NONFINITE, f"steepest-descent step: {exc}")
     while True:
@@ -227,7 +233,11 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     x = quadprob.starting_point(p, seed)
     rep = RunReport(method=method)
     t0 = time.perf_counter()
-    g = quadprob.gradient(p, x)
+    # the starting gradient, g'g, the final ||g|| and f, and the SD step's
+    # g'Ag may overflow, which the run reports as "nonfinite"; numpy's
+    # overflow warning adds nothing
+    with np.errstate(over="ignore"):
+        g = quadprob.gradient(p, x)
     rep.ngrad = 1
     early_grads: list[np.ndarray] = [g.copy()]
     # BB values of the pair ending at the current iterate, and BB1 and
@@ -235,14 +245,12 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     bb1 = bb2 = day = bb1_prev = bb2_prev = math.nan
     special = method != "bb1"
 
-    # g'g, the final ||g|| and the SD step's g'Ag may overflow, which the
-    # run reports as "nonfinite"; numpy's overflow warning adds nothing
     def finish(status: str, message: str = "") -> RunReport:
         rep.status = status
         rep.message = message
         with np.errstate(over="ignore"):
             rep.final_gnorm = float(np.linalg.norm(g))
-        rep.final_f = quadprob.value(p, x)
+            rep.final_f = quadprob.value(p, x)
         rep.wall_time = time.perf_counter() - t0
         return rep
 

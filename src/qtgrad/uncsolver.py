@@ -57,8 +57,7 @@ class ObjectiveFn:
     """A smooth objective: value and gradient callables plus metadata.
 
     ``value`` and ``gradient`` must be consistent, deterministic and free
-    of side effects; the benchmark runner may evaluate different
-    objectives concurrently.  ``x0`` is the standard starting point.
+    of side effects.  ``x0`` is the standard starting point.
     """
 
     name: str
@@ -100,15 +99,20 @@ def update_reference(state: ReferenceState, f_k: float) -> ReferenceState:
     return ReferenceState(f_r, f_min, f_c, t, cap)
 
 
-def _search(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks):
+def _search(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks, *,
+            gg=None):
     """Backtracking loop; also returns the accepted point and value.
 
     ``d=None`` searches along -g without forming it: g'd is -g'g and the
     trial is x - lam g, bitwise what d = -g gives (IEEE rounding is
-    symmetric in sign).  A NaN trial value ends the loop as if accepted,
-    for the caller to report.
+    symmetric in sign).  ``gg``, when given with ``d=None``, is g'g as
+    the caller already holds it.  A NaN trial value ends the loop as if
+    accepted, for the caller to report.
     """
-    gd = -float(g.dot(g)) if d is None else float(g @ d)
+    if d is not None:
+        gd = float(g @ d)
+    else:
+        gd = -(float(g.dot(g)) if gg is None else gg)
     if gd >= 0.0:
         raise NonDescentDirection(f"g'd = {gd}")
     lam = float(alpha0)
@@ -240,7 +244,8 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     while True:
         try:
             lam, used, x_new, f_new = _search(
-                value, x, g, None, alpha, ref.f_r, DELTA, ETA, MAX_BACKTRACKS)
+                value, x, g, None, alpha, ref.f_r, DELTA, ETA, MAX_BACKTRACKS,
+                gg=gg)
         except LineSearchFailure as exc:
             nfe += MAX_BACKTRACKS + 1
             return finish(STATUS_LINESEARCH, str(exc))

@@ -2,10 +2,10 @@
 
 import argparse
 import csv
-import functools
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -254,30 +254,6 @@ def test_quadbench_writes_sorted_reproducible_csvs(tmp_path):
     assert before == after
 
 
-def test_quadbench_parallel_matches_serial(tmp_path, monkeypatch):
-    spec = spec_for(tmp_path, epss=(1e-6, 1e-8), out=str(tmp_path / "ser"))
-    runs_path, _ = run_experiment(spec)
-    serial = open(runs_path, "rb").read()
-    monkeypatch.setenv("QTGRAD_WORKERS", "4")
-    spec2 = spec_for(tmp_path, epss=(1e-6, 1e-8), out=str(tmp_path / "par"))
-    runs2, _ = run_experiment(spec2)
-    assert open(runs2, "rb").read() == serial
-
-
-def test_spawned_pool_uses_the_problem_seed(tmp_path, monkeypatch):
-    # spawn and forkserver workers import benchcli afresh, so they see the
-    # PROBLEM_SEED set here only through the cells
-    spec = spec_for(tmp_path, sets=(1, 4))
-    seed0 = open(run_experiment(spec)[0], "rb").read()
-    monkeypatch.setattr(benchcli, "PROBLEM_SEED", 1)
-    serial = open(run_experiment(spec)[0], "rb").read()
-    assert serial != seed0
-    monkeypatch.setattr(benchcli, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
-    monkeypatch.setenv("QTGRAD_WORKERS", "2")
-    assert open(run_experiment(spec)[0], "rb").read() == serial
-
-
 def _direct_report(row):
     """The report of a row's run from a fresh problem, start and config."""
     method, eps, seed = row["method"], row["eps"], row["seed"]
@@ -299,8 +275,8 @@ def test_grid_rows_match_direct_solves(tmp_path, monkeypatch):
     rows = []
     real = benchcli._run_cell
 
-    def keep(cell):
-        out = real(cell)
+    def keep(*cell):
+        out = real(*cell)
         rows.extend(out[0])
         return out
 
@@ -338,12 +314,6 @@ def test_each_block_of_cells_generates_its_problem_once(tmp_path,
     blocks = [(s, 20, k, benchcli.PROBLEM_SEED)
               for _ in spec.methods for s in spec.sets for k in spec.kappas]
     assert calls == blocks
-
-
-def test_bad_worker_env_is_rejected(tmp_path, monkeypatch):
-    monkeypatch.setenv("QTGRAD_WORKERS", "many")
-    with pytest.raises(InvalidSpec):
-        run_experiment(spec_for(tmp_path))
 
 
 def test_verify3d_rows_use_placeholders(tmp_path):
@@ -547,6 +517,38 @@ def test_main_verify3d_overflowing_kappa_writes_nonfinite_rows(tmp_path,
     assert len(rows) == 4
     assert all(r[header.index("status")] == "nonfinite" for r in rows)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify3d", "--kappa", "1e308", "--seeds", "2"],
+    ["quadbench", "--set", "4", "--n", "10", "--kappa", "8e307", "--seeds",
+     "2", "--methods", "bb,new"],
+    ["quadbench", "--set", "1", "--n", "10", "--kappa", "1e150", "--seeds",
+     "2", "--methods", "bb,new"],
+], ids=["verify3d-gradient", "quadbench-gradient", "quadbench-gag"])
+def test_main_overflowing_kappa_writes_nonfinite_rows_without_warnings(
+        tmp_path, capsys, argv):
+    # the rows were right, but numpy warned of the overflow in the
+    # starting gradient, the SD step's g'Ag or the final value
+    out = str(tmp_path / "big")
+    assert main(argv + ["--zero-times", "--out", out]) == 0
+    header, rows = read_csv(out + "_runs.csv")
+    assert len(rows) == (8 if argv[0] == "verify3d" else 4)
+    assert all(r[header.index("status")] == "nonfinite" for r in rows)
+    capsys.readouterr()
+
+
+def test_importing_benchcli_loads_no_process_pool():
+    # the grid runs in the calling process, which need not pay for a pool
+    mods = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qtgrad.benchcli; print(' '.join(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(benchcli.__file__))),
+        check=True, capture_output=True, text=True).stdout.split()
+    assert "qtgrad.benchcli" in mods
+    assert "multiprocessing" not in mods
+    assert "concurrent.futures" not in mods
 
 
 def test_main_exit_codes(tmp_path, capsys):

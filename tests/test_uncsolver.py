@@ -27,6 +27,7 @@ from qtgrad.uncsolver import (
 
 from oracles import reference_sequence
 from replay import replay_branches
+from test_uncsolver_bitwise import _bits, _point, _quartic
 
 
 def parabola(x):
@@ -63,6 +64,24 @@ def test_line_search_gives_up_after_budget():
     with pytest.raises(LineSearchFailure):
         dai_fletcher_search(lambda x: 2.0, np.array([0.0]), np.array([1.0]),
                             np.array([-1.0]), 1.0, f_r=1.0, max_backtracks=5)
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous",
+                                                        "strided"])
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_search_given_gg_matches_explicit_direction(n, strided):
+    # solve passes the g'g it already holds: the search must not move a bit
+    rng = np.random.default_rng([n, strided])
+    backtracked = 0
+    for _ in range(20):
+        x, g = _point(rng, n, strided)
+        args = (10.0 ** rng.uniform(-3, 2), _quartic(x), unc.DELTA, unc.ETA,
+                60)
+        given = unc._search(_quartic, x, g, None, *args, gg=float(g.dot(g)))
+        explicit = unc._search(_quartic, x, g, -g, *args)
+        assert _bits(given) == _bits(explicit)
+        backtracked += given[1] > 1
+    assert backtracked > 0, "premise: some searches backtrack"
 
 
 def test_reference_spec_sequence():
@@ -247,9 +266,11 @@ def test_trial_stepsizes_are_clamped(monkeypatch):
     seen = []
     real = unc._search
 
-    def spy(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks):
+    def spy(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks,
+            **kwargs):
         seen.append(alpha0)
-        return real(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks)
+        return real(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks,
+                    **kwargs)
 
     monkeypatch.setattr(unc, "_search", spy)
     monkeypatch.setattr(unc, "ALPHA_MIN", 1e-3)
