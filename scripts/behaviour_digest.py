@@ -21,7 +21,11 @@ directory:
   Gram-Schmidt, at 1e8 one seed in ten degenerates at k = 6 in the BBQ
   step, and the kappa 1e300 rows overflow.
 
-It prints one ``sha256  file`` line per CSV, thirteen in all, and takes
+After them it runs ``profile grid_runs.csv --metric iter --out
+profile.csv`` on the first grid's run table (``profile`` takes no
+``--zero-times``, and iteration counts need none).
+
+It prints one ``sha256  file`` line per CSV, fourteen in all, and takes
 about 3.5 s on a 2-vCPU host.  Two source trees whose arithmetic agrees
 print the same lines.
 
@@ -61,11 +65,15 @@ def digests(src: Path) -> dict[str, str]:
     """SHA-256 of every CSV the fixed runs write with ``PYTHONPATH=src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as tmp:
+        def cli(*args):
+            subprocess.run([sys.executable, "-m", "qtgrad.benchcli", *args],
+                           cwd=tmp, check=True, stdout=subprocess.DEVNULL,
+                           env=env)
+
         for prefix, args in RUNS:
-            subprocess.run(
-                [sys.executable, "-m", "qtgrad.benchcli", *args,
-                 "--zero-times", "--out", os.path.join(tmp, prefix)],
-                cwd=tmp, check=True, stdout=subprocess.DEVNULL, env=env)
+            cli(*args, "--zero-times", "--out", os.path.join(tmp, prefix))
+        cli("profile", os.path.join(tmp, "grid_runs.csv"), "--metric",
+            "iter", "--out", os.path.join(tmp, "profile.csv"))
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(Path(tmp).glob("*.csv"))}
 

@@ -12,23 +12,23 @@ Four verbs:
 * ``profile``: Dolan-More performance-profile curves from a previously
   written run table.
 
-``verify3d`` and ``uncbench`` reject values they would not use (set, n,
-eps, tau1 and gamma for the first; set, n, kappa and more than one seed
-for the second, whose test functions each have one fixed start).  A
-grid is checked whole before its first cell runs, and no list in it may
-hold a value twice.  A cell is one (method, problem) with all its eps
-values and seeds: (method, set, n, kappa) for ``quadbench``, (method,
-function) for ``uncbench`` and (method, kappa) for ``verify3d``.
+``verify3d`` and ``uncbench`` reject values they would not use (the keys
+in ``_UNUSED``, and for ``uncbench`` more than one seed, since its test
+functions each have one fixed start).  A grid is checked whole before
+its first cell runs, and no list in it may hold a value twice.  A cell
+is one (method, problem) with all its eps values and seeds: (method,
+set, n, kappa) for ``quadbench``, (method, function) for ``uncbench``
+and (method, kappa) for ``verify3d``.
 
 The run verbs write ``<out>_runs.csv`` (one row per run) and
 ``<out>_agg.csv`` (per-cell means over solved runs); ``--trace`` adds
 ``<out>_trace.csv`` with one row per iteration, intended for small
-grids.  Columns are documented next to RAW_COLUMNS / AGG_COLUMNS below.
+grids.  Their columns are RAW_COLUMNS, AGG_COLUMNS and TRACE_COLUMNS.
 All CSVs are UTF-8 with a header row; floats are written in scientific
 notation with nine significant digits, so equal runs produce equal files
 byte for byte (pass ``--zero-times`` to blank the one hardware-dependent
 column).  A grid runs serially in one process, and its rows are sorted
-by (method, set, n, kappa, eps, seed) whatever the order of its lists.
+by ROW_KEY whatever the order of its lists.
 
 Configuration is plain ``key=value`` lines, where a ``#`` at the start
 of a line or after whitespace begins a comment, with precedence
@@ -43,6 +43,7 @@ import argparse
 import bisect
 import csv
 import math
+import numbers
 import os
 import re
 import sys
@@ -55,9 +56,11 @@ from .quadsolver import (VERIFY_METHODS, QuadSolverConfig, solve_bb, solve_new,
 from .report import STATUS_OK, RunReport
 from .uncsolver import UncSolverConfig, solve
 
-EXPERIMENTS = ("verify3d", "quadbench", "uncbench")
 QUAD_METHODS = ("bb", "new", "bbq")
 UNC_METHODS = ("alg1", "alg1-bbq")
+# The run verbs, each with the methods it accepts.
+_METHODS = {"verify3d": VERIFY_METHODS, "quadbench": QUAD_METHODS,
+            "uncbench": UNC_METHODS}
 
 # (tau1, gamma) presets, one per quadratic problem set, for the adaptive
 # method; named after the parameter table they reproduce.
@@ -69,30 +72,37 @@ PRESETS = {
     "table3-set5-new": (0.6, 1.3),
 }
 
-RAW_COLUMNS = ("method", "set", "n", "kappa", "eps", "seed", "iters",
-               "nfe", "ngrad", "final_gnorm", "status", "time_ms",
-               "final_f")
-AGG_COLUMNS = ("method", "set", "n", "kappa", "eps", "runs", "solved",
-               "iters_mean", "nfe_mean", "ngrad_mean",
-               "final_gnorm_mean", "final_f_mean", "time_ms_mean")
-TRACE_COLUMNS = ("method", "set", "n", "kappa", "eps", "seed", "k",
-                 "branch", "stepsize", "gnorm", "fval", "bb1", "bb2",
-                 "tau")
+# The columns that name one run; an aggregate row keeps the first five.
+ROW_KEY = ("method", "set", "n", "kappa", "eps", "seed")
+RAW_COLUMNS = ROW_KEY + ("iters", "nfe", "ngrad", "final_gnorm", "status",
+                         "time_ms", "final_f")
+AGG_COLUMNS = ROW_KEY[:5] + ("runs", "solved", "iters_mean", "nfe_mean",
+                             "ngrad_mean", "final_gnorm_mean",
+                             "final_f_mean", "time_ms_mean")
+# ROW_KEY, then the TraceRecord fields
+TRACE_COLUMNS = ROW_KEY + ("k", "branch", "stepsize", "gnorm", "fval",
+                           "bb1", "bb2", "tau")
 
 # A '#' that begins a config line or follows whitespace starts a comment.
 _COMMENT = re.compile(r"(?:^|\s)#")
 
-# Values a verb does not use, as (key, spec field, the one value
-# allowed): verify3d runs one 3-d problem on a fixed schedule with no
-# switching threshold, and each uncbench test function has its own
-# dimension and no kappa.
-_UNUSED = {
-    "verify3d": (("set", "sets", (0,)), ("n", "ns", (3,)),
-                 ("eps", "epss", (0.0,)), ("tau1", "tau1", None),
-                 ("gamma", "gamma", None)),
-    "uncbench": (("set", "sets", (0,)), ("n", "ns", (0,)),
-                 ("kappa", "kappas", (0.0,))),
+_DEFAULTS = {
+    "verify3d": {"methods": VERIFY_METHODS, "set": (0,), "n": (3,),
+                 "kappa": (100.0,), "eps": (0.0,), "seeds": 10},
+    "quadbench": {"methods": ("bb", "new"), "set": (4,), "n": (100,),
+                  "kappa": (1e4,), "eps": (1e-9,), "seeds": 10},
+    "uncbench": {"methods": UNC_METHODS, "set": (0,), "n": (0,),
+                 "kappa": (0.0,), "eps": (1e-6,), "seeds": 1},
 }
+
+# Keys a verb does not use, each held to its _DEFAULTS value (None for
+# tau1 and gamma): verify3d runs one 3-d problem on a fixed schedule with
+# no switching threshold, and each uncbench test function has its own
+# dimension and no kappa.
+_UNUSED = {"verify3d": ("set", "n", "eps", "tau1", "gamma"),
+           "uncbench": ("set", "n", "kappa")}
+# The ExperimentSpec field of each grid key.
+_GRID_FIELDS = {"set": "sets", "n": "ns", "kappa": "kappas", "eps": "epss"}
 
 # quadbench fixes the problem instance and varies the starting point, so
 # the seed column is the replicate index of the start.  _run_cell reads
@@ -118,17 +128,20 @@ class ExperimentSpec:
     zero_times: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        allowed = _METHODS.get(self.experiment)
+        if allowed is None:
             raise InvalidSpec(f"unknown experiment {self.experiment!r}")
         if not self.methods:
             raise InvalidSpec("method list must be non-empty")
-        allowed = {"verify3d": VERIFY_METHODS, "quadbench": QUAD_METHODS,
-                   "uncbench": UNC_METHODS}[self.experiment]
         for m in self.methods:
             if m not in allowed:
                 raise InvalidSpec(
                     f"method {m!r} not valid for {self.experiment} "
                     f"(choose from {', '.join(allowed)})")
+        # range() takes Python and numpy integers, and no float
+        if (isinstance(self.seeds, bool)
+                or not isinstance(self.seeds, numbers.Integral)):
+            raise InvalidSpec(f"seeds must be an integer, got {self.seeds!r}")
         if self.seeds < 1:
             raise InvalidSpec("seeds must be at least 1")
         if not (self.sets and self.ns and self.kappas and self.epss):
@@ -147,8 +160,9 @@ class ExperimentSpec:
         elif self.experiment == "verify3d":
             for kappa in self.kappas:
                 quadprob.check_kappa(kappa)
-        for key, field, allowed in _UNUSED.get(self.experiment, ()):
-            if getattr(self, field) != allowed:
+        for key in _UNUSED.get(self.experiment, ()):
+            if (getattr(self, _GRID_FIELDS.get(key, key))
+                    != _DEFAULTS[self.experiment].get(key)):
                 raise InvalidSpec(f"{self.experiment} does not use {key}")
         if self.experiment == "uncbench" and self.seeds > 1:
             raise InvalidSpec("uncbench runs one seed: each test function "
@@ -172,6 +186,9 @@ class ProfileCurve:
     ``fractions[i]`` is the share of all problems this method solved
     within ``rhos[i]`` times the per-problem best; at the largest
     breakpoint it equals the method's overall solved share.
+    :func:`build_profile`, the only producer, keeps these by construction:
+    its breakpoints are a sorted set holding every finite ratio, and each
+    fraction is a count of ratios at or below one over ``total``.
     """
 
     method: str
@@ -179,20 +196,6 @@ class ProfileCurve:
     fractions: tuple
     solved: int
     total: int
-
-    def __post_init__(self):
-        if len(self.rhos) != len(self.fractions):
-            raise InvalidInput("rhos and fractions must align")
-        if list(self.rhos) != sorted(set(self.rhos)):
-            raise InvalidInput("rhos must be strictly increasing")
-        prev = 0.0
-        for f in self.fractions:
-            if not 0.0 <= f <= 1.0 or f < prev:
-                raise InvalidInput("fractions must be non-decreasing in [0, 1]")
-            prev = f
-        if self.rhos and self.total:
-            if abs(self.fractions[-1] - self.solved / self.total) > 1e-12:
-                raise InvalidInput("final fraction must equal solved share")
 
 
 def _report_row(rep: RunReport, set_key, n, kappa, eps, seed):
@@ -203,19 +206,6 @@ def _report_row(rep: RunReport, set_key, n, kappa, eps, seed):
         "final_gnorm": rep.final_gnorm, "status": rep.status,
         "time_ms": rep.wall_time * 1e3, "final_f": rep.final_f,
     }
-
-
-def _trace_rows(rep: RunReport, row):
-    out = []
-    for t in rep.trace:
-        out.append({
-            "method": row["method"], "set": row["set"], "n": row["n"],
-            "kappa": row["kappa"], "eps": row["eps"], "seed": row["seed"],
-            "k": t.k, "branch": t.branch, "stepsize": t.stepsize,
-            "gnorm": t.gnorm, "fval": t.fval, "bb1": t.bb1, "bb2": t.bb2,
-            "tau": t.tau,
-        })
-    return out
 
 
 def _solver_config(exp, method, eps, tau1, gamma, trace=False):
@@ -236,7 +226,7 @@ def _run_cell(spec: ExperimentSpec, method, problem):
     """
     exp, trace = spec.experiment, spec.trace
     if exp == "uncbench":
-        set_key, n, kappa = problem.name, problem.dimension, 0.0
+        set_key, n, kappa = problem.name, problem.x0.size, 0.0
     else:
         set_key, n, kappa = problem
     if exp == "quadbench":
@@ -258,11 +248,10 @@ def _run_cell(spec: ExperimentSpec, method, problem):
                 rep = solve_new(p, quadprob.starting_point(p, seed), cfg)
             row = _report_row(rep, set_key, n, kappa, eps, seed)
             rows.append(row)
-            traces += _trace_rows(rep, row)
+            if trace:
+                key = {c: row[c] for c in ROW_KEY}
+                traces += [{**key, **vars(t)} for t in rep.trace]
     return rows, traces
-
-
-ROW_KEY = ("method", "set", "n", "kappa", "eps", "seed")
 
 
 def _sort_key(row):
@@ -283,7 +272,7 @@ def aggregate_rows(rows):
     for key in sorted(cells):
         group = cells[key]
         ok = [r for r in group if r["status"] == STATUS_OK]
-        agg = dict(zip(("method", "set", "n", "kappa", "eps"), key))
+        agg = dict(zip(ROW_KEY, key))
         agg["runs"] = len(group)
         agg["solved"] = len(ok)
         for col in ("iters", "nfe", "ngrad", "final_gnorm", "final_f",
@@ -318,13 +307,11 @@ def run_experiment(spec: ExperimentSpec):
     out_dir = os.path.dirname(spec.out) or "."
     if not os.path.isdir(out_dir):
         raise InvalidSpec(f"output directory {out_dir!r} does not exist")
-    if spec.experiment == "verify3d":
-        problems = [(0, 3, kappa) for kappa in spec.kappas]
-    elif spec.experiment == "quadbench":
+    if spec.experiment == "uncbench":
+        problems = testfuns.builtin_suite()
+    else:
         problems = [(s, n, kappa) for s in spec.sets for n in spec.ns
                     for kappa in spec.kappas]
-    else:
-        problems = testfuns.builtin_suite()
     results = [_run_cell(spec, method, problem)
                for method in spec.methods for problem in problems]
     rows = [r for rs, _ in results for r in rs]
@@ -454,16 +441,6 @@ def parse_config(path):
     return out
 
 
-_DEFAULTS = {
-    "verify3d": {"methods": VERIFY_METHODS, "set": (0,), "n": (3,),
-                 "kappa": (100.0,), "eps": (0.0,), "seeds": 10},
-    "quadbench": {"methods": ("bb", "new"), "set": (4,), "n": (100,),
-                  "kappa": (1e4,), "eps": (1e-9,), "seeds": 10},
-    "uncbench": {"methods": UNC_METHODS, "set": (0,), "n": (0,),
-                 "kappa": (0.0,), "eps": (1e-6,), "seeds": 1},
-}
-
-
 def _parse_list(val, conv):
     if isinstance(val, (tuple, list)):
         return tuple(conv(v) for v in val)
@@ -519,8 +496,7 @@ def resolve_spec(verb: str, args) -> ExperimentSpec:
         if key not in merged:
             raise InvalidSpec(f"unknown config key {key!r}")
         merged[key] = val
-    for key in ("methods", "set", "n", "kappa", "eps", "seeds", "tau1",
-                "gamma", "out", "trace", "zero_times"):
+    for key in merged:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -564,8 +540,8 @@ def print_config(spec: ExperimentSpec) -> None:
     print(f"zero_times={int(spec.zero_times)}")
 
 
-def _run_verb(verb, args) -> int:
-    spec = resolve_spec(verb, args)
+def _run_verb(args) -> int:
+    spec = resolve_spec(args.verb, args)
     if args.print_config:
         print_config(spec)
         return 0
@@ -609,20 +585,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qtgrad",
         description="Gradient-method benchmarks with quadratic-termination stepsizes.")
     subs = ap.add_subparsers(dest="verb", required=True)
-
-    sv = subs.add_parser("verify3d",
-                         help="8-step termination check on the 3-d problem")
-    _add_common(sv, grids=False)
-    sv.set_defaults(func=lambda a: _run_verb("verify3d", a))
-
-    sq = subs.add_parser("quadbench", help="quadratic benchmark grid")
-    _add_common(sq)
-    sq.set_defaults(func=lambda a: _run_verb("quadbench", a))
-
-    su = subs.add_parser("uncbench",
-                         help="general test functions benchmark")
-    _add_common(su, grids=False)
-    su.set_defaults(func=lambda a: _run_verb("uncbench", a))
+    for verb, text in (
+            ("verify3d", "8-step termination check on the 3-d problem"),
+            ("quadbench", "quadratic benchmark grid"),
+            ("uncbench", "general test functions benchmark")):
+        sub = subs.add_parser(verb, help=text)
+        _add_common(sub, grids=verb == "quadbench")
+        sub.set_defaults(func=_run_verb)
 
     sp = subs.add_parser("profile",
                          help="performance-profile curves from a runs CSV")

@@ -63,6 +63,7 @@ class QuadraticProblem:
             raise InvalidSpec("x_star and spectrum shapes differ")
         if not (np.isfinite(xs.min()) and np.isfinite(xs.max())):
             raise InvalidSpec("x_star must be finite")
+        check_seed(self.seed)
         object.__setattr__(self, "spectrum", v)
         object.__setattr__(self, "x_star", xs)
 
@@ -126,6 +127,17 @@ def _spectrum(set_id: int, n: int, kappa: float, rng: np.random.Generator) -> np
     return v
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise InvalidSpec unless seed is an integer >= 0.
+
+    Python and numpy integers count; a bool or a float, even an integral
+    one, does not.
+    """
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise InvalidSpec(f"{name} must be an integer >= 0, got {seed!r}")
+
+
 def check_kappa(kappa: float) -> None:
     """Raise InvalidSpec unless kappa lies in (1, inf)."""
     if not 1.0 < kappa < np.inf:
@@ -162,9 +174,11 @@ def generate(set_id: int, n: int, kappa: float, seed: int) -> QuadraticProblem:
 
     ``x*`` is uniform on [-10, 10]^n from the (1,) stream and the spectrum,
     twice the set's recipe, from the (0,) stream, so changing one never
-    perturbs the other.  Raises InvalidSpec where :func:`check_spec` does.
+    perturbs the other.  Raises InvalidSpec where :func:`check_spec` or
+    :func:`check_seed` does.
     """
     check_spec(set_id, n, kappa)
+    check_seed(seed)
     spec_rng = _stream(seed, _SPECTRUM_KEY)
     xstar_rng = _stream(seed, _XSTAR_KEY)
     v = _spectrum(set_id, n, kappa, spec_rng)
@@ -185,7 +199,9 @@ def starting_point(p: QuadraticProblem, replicate: int) -> np.ndarray:
 
     Derived from the problem seed and the replicate index through the
     (2, replicate) spawn key, so replicates are mutually independent and
-    reproducible without storing any state.
+    reproducible without storing any state.  Raises InvalidSpec unless
+    ``replicate`` is an integer >= 0.
     """
+    check_seed(replicate, "replicate")
     rng = _stream(p.seed, (_START_KEY, int(replicate)))
     return rng.uniform(-10.0, 10.0, size=p.n)

@@ -26,7 +26,7 @@ def sphere(n: int = 50) -> ObjectiveFn:
     def gradient(x):
         return 2.0 * x
 
-    return ObjectiveFn("sphere", n, value, gradient, np.ones(n))
+    return ObjectiveFn("sphere", value, gradient, np.ones(n))
 
 
 def rosenbrock2() -> ObjectiveFn:
@@ -39,7 +39,7 @@ def rosenbrock2() -> ObjectiveFn:
         t = x[1] - x[0] ** 2
         return np.array([-400.0 * x[0] * t - 2.0 * (1.0 - x[0]), 200.0 * t])
 
-    return ObjectiveFn("rosenbrock2", 2, value, gradient, np.array([-1.2, 1.0]))
+    return ObjectiveFn("rosenbrock2", value, gradient, np.array([-1.2, 1.0]))
 
 
 def rosenbrock_ext(n: int = 100) -> ObjectiveFn:
@@ -63,7 +63,7 @@ def rosenbrock_ext(n: int = 100) -> ObjectiveFn:
         return g
 
     x0 = np.tile([-1.2, 1.0], n // 2)
-    return ObjectiveFn("rosenbrock_ext", n, value, gradient, x0)
+    return ObjectiveFn("rosenbrock_ext", value, gradient, x0)
 
 
 def powell_singular() -> ObjectiveFn:
@@ -85,7 +85,7 @@ def powell_singular() -> ObjectiveFn:
             -10.0 * b - 40.0 * d**3,
         ])
 
-    return ObjectiveFn("powell_singular", 4, value, gradient,
+    return ObjectiveFn("powell_singular", value, gradient,
                        np.array([3.0, -1.0, 0.0, 1.0]))
 
 
@@ -107,7 +107,7 @@ def beale() -> ObjectiveFn:
             g1 += 2.0 * r * x[0] * pw * x[1] ** (pw - 1)
         return np.array([g0, g1])
 
-    return ObjectiveFn("beale", 2, value, gradient, np.array([1.0, 1.0]))
+    return ObjectiveFn("beale", value, gradient, np.array([1.0, 1.0]))
 
 
 def _theta(x0: float, x1: float) -> float:
@@ -135,7 +135,7 @@ def helical_valley() -> ObjectiveFn:
         g2 = 200.0 * a + 2.0 * x[2]
         return np.array([g0, g1, g2])
 
-    return ObjectiveFn("helical_valley", 3, value, gradient,
+    return ObjectiveFn("helical_valley", value, gradient,
                        np.array([-1.0, 0.0, 0.0]))
 
 
@@ -158,7 +158,7 @@ def wood() -> ObjectiveFn:
             180.0 * t2 + 20.2 * (x[3] - 1.0) + 19.8 * (x[1] - 1.0),
         ])
 
-    return ObjectiveFn("wood", 4, value, gradient,
+    return ObjectiveFn("wood", value, gradient,
                        np.array([-3.0, -1.0, -3.0, -1.0]))
 
 
@@ -180,7 +180,7 @@ def trigonometric(n: int = 10) -> ObjectiveFn:
         return 2.0 * (r.sum() * sin + r * (idx * sin - np.cos(x)))
 
     x0 = np.full(n, 1.0 / n)
-    return ObjectiveFn("trigonometric", n, value, gradient, x0)
+    return ObjectiveFn("trigonometric", value, gradient, x0)
 
 
 def broyden_tridiagonal(n: int = 100) -> ObjectiveFn:
@@ -203,7 +203,7 @@ def broyden_tridiagonal(n: int = 100) -> ObjectiveFn:
         g[1:] -= 4.0 * r[:-1]
         return g
 
-    return ObjectiveFn("broyden_tridiagonal", n, value, gradient,
+    return ObjectiveFn("broyden_tridiagonal", value, gradient,
                        np.full(n, -1.0))
 
 
@@ -226,7 +226,7 @@ def dixon_price(n: int = 10) -> ObjectiveFn:
         g[:-1] -= 2.0 * idx * t
         return g
 
-    return ObjectiveFn("dixon_price", n, value, gradient, np.full(n, 2.0))
+    return ObjectiveFn("dixon_price", value, gradient, np.full(n, 2.0))
 
 
 def ill_conditioned_quadratic(n: int = 50, kappa: float = 1e4,
@@ -241,7 +241,7 @@ def ill_conditioned_quadratic(n: int = 50, kappa: float = 1e4,
     def gradient(x):
         return quadprob.gradient(p, x)
 
-    return ObjectiveFn("illcond_quadratic", n, value, gradient, x0)
+    return ObjectiveFn("illcond_quadratic", value, gradient, x0)
 
 
 def builtin_suite() -> list[ObjectiveFn]:

@@ -57,11 +57,11 @@ class ObjectiveFn:
     """A smooth objective: value and gradient callables plus metadata.
 
     ``value`` and ``gradient`` must be consistent, deterministic and free
-    of side effects.  ``x0`` is the standard starting point.
+    of side effects.  ``x0`` is the standard starting point, and its size
+    is the function's dimension.
     """
 
     name: str
-    dimension: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
@@ -187,7 +187,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     trial is clamped into [ALPHA_MIN, ALPHA_MAX].  Stops at
     ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
     aborts with its diagnostic.  A starting point that is not finite, or
-    whose shape is not (f.dimension,), raises InvalidInput, and so does a
+    whose shape is not that of f.x0, raises InvalidInput, and so does a
     starting gradient of another shape than x.  A value or
     gradient that is not finite, at the start, at a NaN trial of the line
     search or at an accepted point, ends the run at once with status
@@ -198,7 +198,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     rep = RunReport(method=method)
     t0 = time.perf_counter()
     x = np.array(f.x0 if x0 is None else x0, dtype=float)
-    if x.shape != (f.dimension,):
+    if x.shape != np.shape(f.x0):
         raise InvalidInput("x0 has the wrong dimension")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("x0 has entries that are not finite")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -18,7 +19,6 @@ from qtgrad.benchcli import (
     TRACE_COLUMNS,
     UNC_METHODS,
     ExperimentSpec,
-    ProfileCurve,
     build_profile,
     main,
     parse_config,
@@ -29,6 +29,7 @@ from qtgrad.benchcli import (
 from qtgrad.errors import InvalidInput, InvalidSpec
 from qtgrad.quadsolver import (VERIFY_METHODS, QuadSolverConfig, solve_bb,
                                solve_new, verify_3d_termination)
+from qtgrad.report import TraceRecord
 from qtgrad.testfuns import builtin_suite
 from qtgrad.uncsolver import UncSolverConfig, solve
 
@@ -150,6 +151,8 @@ def test_print_config_roundtrips_a_hash_in_the_value(tmp_path, capsys):
     dict(methods=()),
     dict(methods=("alg1",)),          # uncbench method on quadbench
     dict(seeds=0),
+    dict(seeds=2.5),                  # range() raised TypeError in a cell
+    dict(seeds=True),
     dict(sets=(9,)),
     dict(tau1=0.0),
     dict(gamma=0.5),
@@ -340,7 +343,7 @@ def test_uncbench_rows_name_the_functions(tmp_path):
                     seeds=1)
     runs_path, _ = run_experiment(spec)
     header, rows = read_csv(runs_path)
-    suite = {f.name: f.dimension for f in builtin_suite()}
+    suite = {f.name: f.x0.size for f in builtin_suite()}
     assert len(rows) == len(suite)
     for r in rows:
         name = r[header.index("set")]
@@ -354,6 +357,11 @@ def test_trace_file_structure(tmp_path):
     run_experiment(spec)
     header, rows = read_csv(str(tmp_path / "res") + "_trace.csv")
     assert header == list(TRACE_COLUMNS)
+    # a trace row is the run's key plus one TraceRecord, field by field,
+    # so a record field missing here would drop out of the file unseen
+    record = [f.name for f in fields(TraceRecord)]
+    assert sorted(TRACE_COLUMNS) == sorted(list(ROW_KEY) + record)
+    assert len(set(TRACE_COLUMNS)) == len(TRACE_COLUMNS)
     ks = [int(r[header.index("k")]) for r in rows]
     assert ks == list(range(1, len(rows) + 1))
     assert rows[0][header.index("branch")] == "sd"
@@ -415,17 +423,6 @@ def test_profile_rejects_bad_input():
         # problem 1 lacks method B
         build_profile([mkrow("A", 0, 1), mkrow("B", 0, 1),
                        mkrow("A", 1, 1)], "iter")
-
-
-def test_profile_curve_validates_shape():
-    with pytest.raises(InvalidInput):
-        ProfileCurve("A", (1.0, 2.0), (0.5,), solved=1, total=2)
-    with pytest.raises(InvalidInput):
-        ProfileCurve("A", (2.0, 1.0), (0.5, 0.5), solved=1, total=2)
-    with pytest.raises(InvalidInput):
-        ProfileCurve("A", (1.0, 2.0), (0.8, 0.5), solved=1, total=2)
-    with pytest.raises(InvalidInput):
-        ProfileCurve("A", (1.0,), (0.5,), solved=2, total=2)
 
 
 def test_profile_from_csv_roundtrip(tmp_path):
@@ -591,7 +588,7 @@ def test_main_exit_codes(tmp_path, capsys):
 ])
 def test_main_rejects_flags_the_verb_ignores(tmp_path, capsys, monkeypatch,
                                              argv):
-    def no_cells(cell):
+    def no_cells(*cell):
         raise AssertionError("a cell ran before the spec was rejected")
 
     monkeypatch.setattr(benchcli, "_run_cell", no_cells)
@@ -614,7 +611,7 @@ def test_main_rejects_config_grid_values_the_verb_ignores(tmp_path, capsys,
 
 def test_missing_output_directory_fails_before_any_cell(tmp_path, capsys,
                                                         monkeypatch):
-    def no_cells(cell):
+    def no_cells(*cell):
         raise AssertionError("a cell ran before the output check")
 
     monkeypatch.setattr(benchcli, "_run_cell", no_cells)

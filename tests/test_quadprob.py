@@ -108,6 +108,8 @@ def test_generate_is_deterministic_and_streams_are_split():
     (1, True, 100.0, 0),    # ... or a bool
     (1, 10, math.inf, 0),   # kappa must be finite
     (4, 10, 1e308, 0),      # ... and so must the Hessian's 2 kappa
+    (1, 10, 100.0, -1),     # the seed must be >= 0
+    (1, 10, 100.0, 1.5),    # ... and an integer; this one ran seed 1
 ])
 def test_generate_rejects_bad_specs(args):
     with pytest.raises(InvalidSpec):
@@ -118,6 +120,14 @@ def test_generate_rejects_bad_specs(args):
 def test_verification_problem_rejects_bad_kappa(kappa):
     with pytest.raises(InvalidSpec):
         quadprob.verification_problem(kappa)
+
+
+@pytest.mark.parametrize("replicate", [-1, 1.5, np.int64(-2)])
+def test_starting_point_rejects_bad_replicates(replicate):
+    # a negative replicate raised numpy's ValueError
+    p = quadprob.generate(1, 10, 100.0, np.int64(3))
+    with pytest.raises(InvalidSpec, match="replicate"):
+        quadprob.starting_point(p, replicate)
 
 
 def test_problem_validation():
@@ -138,6 +148,9 @@ def test_problem_validation():
         with pytest.raises(InvalidSpec, match="x_star"):
             quadprob.QuadraticProblem(
                 spectrum=np.array([1.0, 2.0]), x_star=np.array([0.0, bad]))
+    with pytest.raises(InvalidSpec, match="seed"):
+        quadprob.QuadraticProblem(spectrum=[1.0, 2.0], x_star=[0.0, 0.0],
+                                  seed=-1)
 
 
 def test_problem_accepts_lists():

@@ -20,7 +20,7 @@ from qtgrad.quadprob import (
     gradient,
     starting_point,
 )
-from qtgrad.errors import InvalidInput
+from qtgrad.errors import InvalidInput, InvalidSpec
 from qtgrad.quadsolver import (
     QuadSolverConfig,
     solve_bb,
@@ -484,3 +484,9 @@ def test_verify3d_without_curvature_degenerates(monkeypatch, method):
 def test_verify3d_rejects_unknown_method():
     with pytest.raises(ValueError):
         verify_3d_termination(100.0, "sd", seed=0)
+
+
+def test_verify3d_rejects_negative_seed():
+    # this raised numpy's ValueError: expected non-negative integer
+    with pytest.raises(InvalidSpec, match="replicate"):
+        verify_3d_termination(100.0, "bb1", -1)

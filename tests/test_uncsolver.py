@@ -145,7 +145,7 @@ def test_rosenbrock_iteration_window():
 
 def test_lying_objective_fails_line_search():
     # value grows along the reported descent direction, nothing accepts
-    f = ObjectiveFn("liar", 1, lambda x: float(x[0]),
+    f = ObjectiveFn("liar", lambda x: float(x[0]),
                     lambda x: np.array([-1.0]), np.array([0.0]))
     rep = solve(f)
     assert rep.status == STATUS_LINESEARCH
@@ -155,7 +155,7 @@ def test_lying_objective_fails_line_search():
 def test_concave_region_uses_nocurv_branch(monkeypatch):
     # f = -x^2/2 keeps s'y negative, the curvature-free reset must kick in
     monkeypatch.setattr(unc, "MAX_ITER", 2)
-    f = ObjectiveFn("cave", 1, lambda x: float(-0.5 * x[0] ** 2),
+    f = ObjectiveFn("cave", lambda x: float(-0.5 * x[0] ** 2),
                     lambda x: np.array([-x[0]]), np.array([1.0]))
     rep = solve(f, cfg=UncSolverConfig(keep_trace=True))
     assert rep.status == STATUS_MAXITER
@@ -174,9 +174,9 @@ def test_nonfinite_start_is_invalid_input(bad):
     (testfuns.sphere(5), [1.0, 2.0]),
     (testfuns.rosenbrock2(), [[1.0, 2.0]]),
     (testfuns.rosenbrock2(), [1.0, 2.0, 3.0]),
-    (ObjectiveFn("short-gradient", 3, lambda x: float(x @ x),
+    (ObjectiveFn("short-gradient", lambda x: float(x @ x),
                  lambda x: 2.0 * x[:-1], np.ones(3)), None),
-    (ObjectiveFn("column-gradient", 3, lambda x: float(x @ x),
+    (ObjectiveFn("column-gradient", lambda x: float(x @ x),
                  lambda x: 2.0 * x[:, None], np.ones(3)), None),
 ], ids=["short", "nested", "long", "short-gradient", "column-gradient"])
 def test_wrong_dimension_start_is_invalid_input(f, x0):
@@ -185,6 +185,15 @@ def test_wrong_dimension_start_is_invalid_input(f, x0):
     # ValueErrors
     with pytest.raises(InvalidInput, match="dimension"):
         solve(f, x0=x0)
+
+
+def test_start_given_as_a_list_sets_the_dimension():
+    # solve reads the dimension off x0, which may be a plain sequence
+    f = ObjectiveFn("list-start", lambda x: float(x @ x), lambda x: 2.0 * x,
+                    [1.0, 2.0])
+    assert solve(f).status == STATUS_OK
+    with pytest.raises(InvalidInput, match="dimension"):
+        solve(f, x0=[1.0])
 
 
 def _inf_value(x):
@@ -198,9 +207,9 @@ def _nan_gradient(x):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("f, x0", [
     (testfuns.rosenbrock2(), np.array([1e300, 1.0])),
-    (ObjectiveFn("inf", 1, _inf_value, lambda x: np.array([1.0]),
+    (ObjectiveFn("inf", _inf_value, lambda x: np.array([1.0]),
                  np.array([0.0])), None),
-    (ObjectiveFn("nan", 1, parabola, _nan_gradient, np.array([0.0])), None),
+    (ObjectiveFn("nan", parabola, _nan_gradient, np.array([0.0])), None),
 ], ids=["overflow", "value", "gradient"])
 def test_nonfinite_start_value_or_gradient_reports_nonfinite(f, x0):
     # these used to end in linesearch_failure after 61 evaluations
@@ -234,7 +243,7 @@ def test_nonfinite_during_run_reports_nonfinite(value, gradient, what):
     # from (3, 1) the first trial lands on the origin; a NaN there used to
     # be a rejected trial, and this run went on to feval_budget after
     # 1,000,038 evaluations
-    f = ObjectiveFn("hole", 2, value, gradient, np.array([3.0, 1.0]))
+    f = ObjectiveFn("hole", value, gradient, np.array([3.0, 1.0]))
     rep = solve(f)
     assert rep.status == STATUS_NONFINITE
     assert rep.message == f"{what} not finite at iteration 1"
@@ -248,7 +257,7 @@ def test_infinite_trial_value_is_a_rejected_trial():
     def value(x):
         return math.inf if x[0] < 0.5 else float((x - 1.0) @ (x - 1.0))
 
-    f = ObjectiveFn("wall", 2, value, lambda x: 2.0 * (x - 1.0),
+    f = ObjectiveFn("wall", value, lambda x: 2.0 * (x - 1.0),
                     np.array([3.0, 1.0]))
     rep = solve(f)
     assert rep.status == STATUS_OK
