@@ -14,7 +14,8 @@ directory:
 * a traced grid, ``quadbench --set 1,4 --n 100 --kappa 1e4 --eps 1e-6
   --methods bb,new,bbq --seeds 3 --trace``;
 * the solver's blocked path above ``kernels.BLOCK``, ``quadbench --set 1
-  --n 40000 --kappa 1e2 --eps 1e-6 --methods bb,new --seeds 2``;
+  --n 40000 --kappa 1e2 --eps 1e-6 --methods bb,new --seeds 2 --trace``,
+  whose trace holds every stepsize and objective value of those runs;
 * ``uncbench --methods alg1,alg1-bbq --eps 1e-6 --trace``;
 * ``verify3d --kappa 1.5,2,100,1e4,1e8,1e300 --seeds 10 --trace``: at
   kappa 2 every special-step method degenerates at k = 3 in
@@ -25,7 +26,7 @@ After them it runs ``profile grid_runs.csv --metric iter --out
 profile.csv`` on the first grid's run table (``profile`` takes no
 ``--zero-times``, and iteration counts need none).
 
-It prints one ``sha256  file`` line per CSV, fourteen in all, and takes
+It prints one ``sha256  file`` line per CSV, fifteen in all, and takes
 about 3.5 s on a 2-vCPU host.  Two source trees whose arithmetic agrees
 print the same lines.
 
@@ -53,7 +54,8 @@ RUNS = (
                 "--eps", "1e-6", "--methods", "bb,new,bbq", "--seeds", "3",
                 "--trace"]),
     ("blocked", ["quadbench", "--set", "1", "--n", "40000", "--kappa", "1e2",
-                 "--eps", "1e-6", "--methods", "bb,new", "--seeds", "2"]),
+                 "--eps", "1e-6", "--methods", "bb,new", "--seeds", "2",
+                 "--trace"]),
     ("unc", ["uncbench", "--methods", "alg1,alg1-bbq", "--eps", "1e-6",
              "--trace"]),
     ("v3d", ["verify3d", "--kappa", "1.5,2,100,1e4,1e8,1e300", "--seeds",

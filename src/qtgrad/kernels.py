@@ -1,19 +1,19 @@
 """Vector kernels for the quadratic benchmark inner loop, in numpy.
 
-All three functions return scalars only; :func:`quad_step` and
-:func:`quad_gradient` write their vector results into arrays the caller
-passes.  :func:`quad_step` allocates no n-sized temporary: its one
-intermediate vector lives in a scratch array of at most ``BLOCK``
-elements, which the solver allocates once per run.
+Both functions write their vector results into arrays the caller passes
+and return scalars.  :func:`quad_step` allocates nothing: besides x and
+the gradient g it needs two scratch vectors of min(n, ``BLOCK``)
+elements, the spare and ``y``, which the solver allocates once per run.
 
 Above ``BLOCK`` elements :func:`quad_step` works block by block, so each
 block's passes run in L2 cache instead of streaming the whole vectors
-from memory once per pass.  x and the new gradient are elementwise the
-same as on the whole arrays; the three inner products are sums of
-per-block partial sums, so above ``BLOCK`` they are summed in a
-different order than a whole-array dot product and can differ from it in
-the last bits.  Up to ``BLOCK`` elements the kernel runs once on the
-whole arrays, the same arithmetic bit for bit.
+from memory once per pass, and refreshes g in place from a copy of each
+block in the spare.  x and the new gradient are elementwise the same as
+on the whole arrays; the three inner products are sums of per-block
+partial sums, so above ``BLOCK`` they are summed in a different order
+than a whole-array dot product and can differ from it in the last bits.
+Up to ``BLOCK`` elements the kernel runs once on the whole arrays, the
+same arithmetic bit for bit, and writes the new gradient into the spare.
 
 At small n a step costs numpy call dispatch, not flops, so the kernel
 takes two shortcuts from its caller.  ``alpha`` may be a 0-d float64
@@ -22,7 +22,7 @@ float; the product is the same.  And with ``gscale`` 1.0, as the
 solver passes it for a spectrum that is the Hessian's diagonal, the
 kernel skips its scaling multiply.
 
-The vectors a step writes (x, g_new and the scratch y) should start on a
+The vectors a step writes (x, g, the spare and y) should start on a
 cache-line boundary of ``ALIGN`` = 64 bytes, which :func:`aligned_empty`
 guarantees; ``BLOCK`` is a multiple of eight elements, so every block of
 an aligned vector starts on a line too.  numpy's AVX-512 loops store 64
@@ -43,7 +43,7 @@ offset.
 import numpy as np
 
 # Elements per block: the six float64 blocks a step touches (v, xstar, x,
-# g_old, g_new, y) take 1.5 MB, which fits a 2 MB L2 cache.
+# g, the spare and y) take 1.5 MB, which fits a 2 MB L2 cache.
 BLOCK = 1 << 15
 # Bytes per cache line, the boundary aligned_empty places a vector on.
 ALIGN = 64
@@ -73,34 +73,41 @@ def _step_block(v, xstar, x, g_old, g_new, alpha, gscale, y):
         np.multiply(g_new, gscale, g_new)
     np.subtract(g_new, g_old, y)
     # ndarray.dot sums like @ on 1-d arrays, at less call overhead.
-    return float(g_old.dot(y)), float(y.dot(y)), float(g_new.dot(g_new))
+    return (float(g_old.dot(y)), float(y.dot(y)), float(g_new.dot(g_new)),
+            g_new, g_old)
 
 
-def quad_step(v, xstar, x, g_old, g_new, alpha, gscale, y=None):
-    """Advance x by -alpha * g_old and refresh the gradient into g_new.
+def quad_step(v, xstar, x, g, spare, alpha, gscale, y=None):
+    """Advance x by -alpha * g and refresh the gradient.
 
-    Returns (g_old'y, y'y, g_new'g_new) where y = g_new - g_old.  The
-    caller derives s's and s'y from alpha and ||g_old||^2, which it
-    already has from the previous call.  ``alpha`` is a float or a 0-d
-    float64 array; the gradient is ``gscale * v * (x - xstar)``, and
-    ``gscale`` 1.0 skips a multiply.  ``y`` is scratch space of
-    min(n, BLOCK) elements; it is allocated here, aligned, when omitted.
+    Returns (g'y, y'y, g_new'g_new, g_new, spare_new), g as on entry and
+    y = g_new - g.  Up to ``BLOCK`` elements g_new is written into
+    ``spare``, of n elements, and the pair is (spare, g); above it g is
+    refreshed in place and the pair is (g, spare), whose first ``BLOCK``
+    elements serve as scratch.  The caller derives s's and s'y from alpha
+    and ||g||^2, which it already has from the previous call.  ``alpha``
+    is a float or a 0-d float64 array; the gradient is
+    ``gscale * v * (x - xstar)``, and ``gscale`` 1.0 skips a multiply.
+    ``y`` is scratch space of min(n, BLOCK) elements; it is allocated
+    here, aligned, when omitted.
     """
     n = x.shape[0]
     if y is None:
         y = aligned_empty(min(n, BLOCK))
     if n <= BLOCK:
-        return _step_block(v, xstar, x, g_old, g_new, alpha, gscale, y)
+        return _step_block(v, xstar, x, g, spare, alpha, gscale, y)
     gy = yy = gg = 0.0
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        b_gy, b_yy, b_gg = _step_block(
-            v[lo:hi], xstar[lo:hi], x[lo:hi], g_old[lo:hi], g_new[lo:hi],
+        old = spare[:hi - lo]
+        np.copyto(old, g[lo:hi])
+        b_gy, b_yy, b_gg, _, _ = _step_block(
+            v[lo:hi], xstar[lo:hi], x[lo:hi], old, g[lo:hi],
             alpha, gscale, y[:hi - lo])
         gy += b_gy
         yy += b_yy
         gg += b_gg
-    return gy, yy, gg
+    return gy, yy, gg, g, spare
 
 
 def quad_gradient(v, xstar, x, gscale, out):
@@ -110,16 +117,3 @@ def quad_gradient(v, xstar, x, gscale, out):
     if gscale != 1.0:
         out *= gscale
     return float(out @ out)
-
-
-def quad_value(v, xstar, x, vscale, d=None):
-    """Objective value at x.
-
-    ``d``, when given, is an n-sized buffer that receives x - xstar, so
-    that v * d is the only n-sized temporary.
-    """
-    if d is None:
-        d = x - xstar
-    else:
-        np.subtract(x, xstar, out=d)
-    return vscale * float(d @ (v * d))

@@ -77,7 +77,8 @@ def value(p: QuadraticProblem, x: np.ndarray) -> float:
     return p.value_scale * float(d @ (p.spectrum * d))
 
 def gradient(p: QuadraticProblem, x: np.ndarray) -> np.ndarray:
-    return p.spectrum * (np.asarray(x, dtype=float) - p.x_star)
+    d = np.asarray(x, dtype=float) - p.x_star
+    return np.multiply(d, p.spectrum, d)
 
 def hess_vec(p: QuadraticProblem, d: np.ndarray) -> np.ndarray:
     return p.spectrum * np.asarray(d, dtype=float)

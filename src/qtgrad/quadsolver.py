@@ -13,19 +13,20 @@ Three entry points:
 The per-iteration vector work is one :func:`qtgrad.kernels.quad_step`
 call, which moves x, refreshes the gradient and returns the three inner
 products the stepsize rule needs; everything else in the loop is scalar
-arithmetic on earlier stepsizes and gradient norms.  Each run allocates
-its vectors once: x, the gradient pair g and g_next, which swap roles
-every step, and the kernel's scratch vector y of min(n,
-``kernels.BLOCK``) elements, all from ``kernels.aligned_empty`` so that
-the kernel's stores start on cache lines: a misaligned store costs about
-twice an aligned one, and where plain ``np.empty`` puts a vector depends
-on heap history.  The problem's spectrum and x* are only read and stay
-where they are, since misaligning them measured no difference.  The
-spectrum is the Hessian's diagonal, which the kernels take at scale 1.0
-with no scaling multiply, and a 0-d array a0 carries each stepsize into
-the kernel at less dispatch cost than a Python float.
-The kernel allocates nothing per iteration, and the objective value,
-taken at the end and in traced runs, writes x - x* into the idle g_next.
+arithmetic on earlier stepsizes and gradient norms.  A run holds two
+n-vectors, x and g, and the kernel's two scratch vectors of min(n,
+``kernels.BLOCK``) elements, the spare and y; the kernel returns which
+of g and the spare holds the new gradient.  The SD step's H g is put in
+x until the start is copied back, and the final value 1/2 (x - x*)'g is
+taken in x's own storage.  All four vectors come from
+``kernels.aligned_empty`` so that the kernel's stores start on cache
+lines: a misaligned store costs about twice an aligned one, and where
+plain ``np.empty`` puts a vector depends on heap history.  The
+problem's spectrum and x* are only read and stay where they are, since
+misaligning them measured no difference.  The spectrum is the Hessian's
+diagonal, which the kernels take at scale 1.0 with no scaling multiply,
+and a 0-d array a0 carries each stepsize into the kernel at less
+dispatch cost than a Python float.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     x = kernels.aligned_empty(n)
     x[:] = x0
     g = kernels.aligned_empty(n)
-    g_next = kernels.aligned_empty(n)
+    spare = kernels.aligned_empty(min(n, kernels.BLOCK))
     y = kernels.aligned_empty(min(n, kernels.BLOCK))
     # the starting gradient, the SD step's g'Ag and the final value may
     # overflow, which the run reports as "nonfinite"; numpy's overflow
@@ -126,7 +127,8 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         rep.message = message
         rep.final_gnorm = math.sqrt(gg)
         with np.errstate(over="ignore"):
-            rep.final_f = kernels.quad_value(h, xs, x, p.value_scale, g_next)
+            np.subtract(x, xs, x)   # x is not read again
+            rep.final_f = p.value_scale * float(x.dot(g))
         rep.wall_time = time.perf_counter() - t0
         return rep
 
@@ -137,15 +139,18 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         return finish(STATUS_OK)
     try:
         with np.errstate(over="ignore"):
-            alpha, branch = sd_stepsize(g, quadprob.hess_vec(p, g)), "sd"
+            # H g is held in x until the start is copied back
+            alpha, branch = sd_stepsize(g, np.multiply(h, g, x)), "sd"
     except NumericalFailure as exc:
+        x[:] = x0
         return finish(STATUS_NONFINITE, f"steepest-descent step: {exc}")
+    x[:] = x0
     while True:
         gg_old = gg
         hist.set_stepsize(alpha)
         a0[()] = alpha
-        gy, yy, gg = kernels.quad_step(h, xs, x, g, g_next, a0, 1.0, y)
-        g, g_next = g_next, g
+        gy, yy, gg, g, spare = kernels.quad_step(h, xs, x, g, spare, a0,
+                                                 1.0, y)
         it += 1
         rep.count(branch)
         sy = -alpha * gy
@@ -159,7 +164,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         if cfg.keep_trace:
             rep.trace.append(TraceRecord(
                 k=it, stepsize=alpha, branch=branch, gnorm=math.sqrt(gg),
-                fval=kernels.quad_value(h, xs, x, p.value_scale, g_next),
+                fval=p.value_scale * float((x - xs).dot(g)),
                 bb1=new_bb1, bb2=new_bb2, tau=tau))
         if math.sqrt(gg) <= gtol:
             return finish(STATUS_OK)

@@ -21,8 +21,10 @@ def test_kernel_matches_dense_formulas(gscale):
     v, xs, x, g = _random_case(0, gscale)
     alpha = 0.01
     x1 = x.copy()
-    g_new = np.empty_like(g)
-    gy, yy, gg = kernels.quad_step(v, xs, x1, g, g_new, alpha, gscale)
+    spare = np.empty_like(g)
+    gy, yy, gg, g_new, _ = kernels.quad_step(v, xs, x1, g.copy(), spare,
+                                             alpha, gscale)
+    assert g_new is spare
     x_ref = x - alpha * g
     g_ref = gscale * v * (x_ref - xs)
     y_ref = g_ref - g
@@ -40,14 +42,11 @@ def test_kernel_value_and_gradient(gscale):
     gg = kernels.quad_gradient(v, xs, x, gscale, out)
     np.testing.assert_allclose(out, gscale * v * (x - xs), rtol=1e-14)
     assert gg == pytest.approx(float(out @ out), rel=1e-12)
-    vscale = 1.0 if gscale == 2.0 else 0.5
-    value = kernels.quad_value(v, xs, x, vscale)
-    assert value == pytest.approx(
-        vscale * float((x - xs) @ (v * (x - xs))), rel=1e-13)
-    # with a buffer for x - xs the value is bitwise the same
-    d = np.empty_like(x)
-    assert kernels.quad_value(v, xs, x, vscale, d) == value
-    np.testing.assert_array_equal(d, x - xs)
+    # the solver's value (x - xs)'g / 2 is bitwise d'(v d) gscale / 2
+    # with d = x - xs: each product is the same, and gscale 2.0 is exact
+    d = x - xs
+    value = 0.5 * float(d.dot(out))
+    assert value == 0.5 * gscale * float(d @ (v * d))
 
 
 def test_backend_name_reports_known_value():
@@ -55,14 +54,15 @@ def test_backend_name_reports_known_value():
 
 
 def _whole_array_step(v, xs, x, g, alpha, gscale):
-    """quad_step's arithmetic on the whole arrays, with fresh temporaries."""
+    """quad_step's arithmetic on the whole arrays, with fresh temporaries;
+    the dots come as a list, like those unpacked from a step."""
     x_ref = x - alpha * g
     g_ref = (x_ref - xs) * v
     if gscale != 1.0:
         g_ref = g_ref * gscale
     y_ref = g_ref - g
     return (x_ref, g_ref,
-            (float(g @ y_ref), float(y_ref @ y_ref), float(g_ref @ g_ref)))
+            [float(g @ y_ref), float(y_ref @ y_ref), float(g_ref @ g_ref)])
 
 
 BLOCK_SIZES = [kernels.BLOCK, kernels.BLOCK + 1, 2 * kernels.BLOCK + 7]
@@ -74,14 +74,22 @@ def test_blocked_step_matches_whole_array_formula(n, gscale):
     v, xs, x, g = _random_case(n, gscale, n=n)
     alpha = 0.01
     x_ref, g_ref, dots_ref = _whole_array_step(v, xs, x, g, alpha, gscale)
-    # the solver's call: the scaled spectrum, scale 1.0 and the stepsize
-    # as a 0-d array, bitwise the same as the unscaled call at every n
-    x_pre, g_pre = x.copy(), np.empty_like(g)
-    dots_pre = kernels.quad_step(gscale * v, xs, x_pre, g, g_pre,
-                                 np.array(alpha), 1.0,
-                                 np.empty(min(n, kernels.BLOCK)))
-    g_new = np.empty_like(g)
-    dots = kernels.quad_step(v, xs, x, g, g_new, alpha, gscale)
+    # the solver's call: the scaled spectrum, scale 1.0, the stepsize as
+    # a 0-d array and a spare of min(n, BLOCK) elements, bitwise the same
+    # as the unscaled call at every n
+    m = min(n, kernels.BLOCK)
+    x_pre, g_in, spare = x.copy(), g.copy(), np.empty(m)
+    *dots_pre, g_pre, spare_pre = kernels.quad_step(
+        gscale * v, xs, x_pre, g_in, spare, np.array(alpha), 1.0,
+        np.empty(m))
+    # above BLOCK g is refreshed in place; up to it the new gradient
+    # goes into the spare and g becomes the spare
+    if n > kernels.BLOCK:
+        assert g_pre is g_in and spare_pre is spare
+    else:
+        assert g_pre is spare and spare_pre is g_in
+    *dots, g_new, _ = kernels.quad_step(v, xs, x, g.copy(), np.empty_like(g),
+                                        alpha, gscale)
     np.testing.assert_array_equal(x_pre, x)
     np.testing.assert_array_equal(g_pre, g_new)
     assert dots_pre == dots
@@ -96,11 +104,18 @@ def test_blocked_step_matches_whole_array_formula(n, gscale):
 @pytest.mark.parametrize("n", [64] + BLOCK_SIZES)
 def test_step_with_scratch_matches_step_without(n, gscale):
     v, xs, x, g = _random_case(n, gscale, n=n)
-    x_own, g_own = x.copy(), np.empty_like(g)
-    dots_own = kernels.quad_step(v, xs, x_own, g, g_own, 0.01, gscale)
-    y = np.empty(min(n, kernels.BLOCK))
-    g_new = np.empty_like(g)
-    dots = kernels.quad_step(v, xs, x, g, g_new, 0.01, gscale, y)
+    m = min(n, kernels.BLOCK)
+    x_own = x.copy()
+    *dots_own, g_own, _ = kernels.quad_step(v, xs, x_own, g.copy(),
+                                            np.empty(m), 0.01, gscale)
+    y = np.empty(m)
+    g_in, spare = g.copy(), np.empty(m)
+    *dots, g_new, spare_new = kernels.quad_step(v, xs, x, g_in, spare, 0.01,
+                                                gscale, y)
+    if n > kernels.BLOCK:
+        assert g_new is g_in and spare_new is spare
+    else:
+        assert g_new is spare and spare_new is g_in
     assert dots == dots_own
     np.testing.assert_array_equal(x, x_own)
     np.testing.assert_array_equal(g_new, g_own)
@@ -130,17 +145,17 @@ def _at_offset(a, offset):
 
 @pytest.mark.parametrize("n", [64, kernels.BLOCK + 1, 2 * kernels.BLOCK + 7])
 def test_step_is_bitwise_the_same_at_every_offset(n):
-    # the vectors the step writes (x, g_new, y) at offset w and those it
-    # only reads (v, xstar, g_old) at offset r, for every 8-byte w and r
+    # x, the spare and y at offset w and v, xstar and g at offset r, for
+    # every 8-byte w and r; g is only read up to BLOCK
     v, xs, x, g = _random_case(n, 2.0, n=n)
     alpha = np.array(0.01)
     m = min(n, kernels.BLOCK)
 
     def step_at(w, r):
-        x_w, g_w = _at_offset(x, w), _at_offset(np.empty(n), w)
-        dots = kernels.quad_step(
-            _at_offset(v, r), _at_offset(xs, r), x_w, _at_offset(g, r), g_w,
-            alpha, 2.0, _at_offset(np.empty(m), w))
+        x_w = _at_offset(x, w)
+        *dots, g_w, _ = kernels.quad_step(
+            _at_offset(v, r), _at_offset(xs, r), x_w, _at_offset(g, r),
+            _at_offset(np.empty(m), w), alpha, 2.0, _at_offset(np.empty(m), w))
         return dots, x_w, g_w
 
     dots_ref, x_ref, g_ref = step_at(0, 0)

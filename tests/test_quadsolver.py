@@ -126,13 +126,13 @@ def _exact_gnorm_sq_along(p, x0, rows):
     """
     x = np.array(x0, dtype=float)
     g = np.empty_like(x)
-    g_next = np.empty_like(x)
+    spare = np.empty_like(x)
     kernels.quad_gradient(p.spectrum, p.x_star, x, p.grad_scale, g)
     out = []
     for row in rows:
-        _, _, gg = kernels.quad_step(p.spectrum, p.x_star, x, g, g_next,
-                                     row.stepsize, p.grad_scale)
-        g, g_next = g_next, g
+        _, _, gg, g, spare = kernels.quad_step(p.spectrum, p.x_star, x, g,
+                                               spare, row.stepsize,
+                                               p.grad_scale)
         out.append(gg)
     return out
 
@@ -282,9 +282,9 @@ def test_step_without_curvature_repeats_the_stepsize(monkeypatch, solver):
     step, calls = kernels.quad_step, []
 
     def flip(*args):
-        gy, yy, gg = step(*args)
+        gy, yy, gg, g, spare = step(*args)
         calls.append(gy)
-        return (-gy if len(calls) == 3 else gy), yy, gg
+        return (-gy if len(calls) == 3 else gy), yy, gg, g, spare
 
     monkeypatch.setattr(kernels, "quad_step", flip)
     p = generate(1, 30, 1e3, seed=0)
@@ -362,10 +362,10 @@ def test_kernel_writes_only_cache_aligned_vectors(monkeypatch, solver, n):
     step = kernels.quad_step
     offsets = []
 
-    def spy(v, xstar, x, g_old, g_new, alpha, gscale, y=None):
+    def spy(v, xstar, x, g, spare, alpha, gscale, y=None):
         offsets.append(tuple(a.ctypes.data % kernels.ALIGN
-                             for a in (x, g_old, g_new, y)))
-        return step(v, xstar, x, g_old, g_new, alpha, gscale, y)
+                             for a in (x, g, spare, y)))
+        return step(v, xstar, x, g, spare, alpha, gscale, y)
 
     monkeypatch.setattr(kernels, "quad_step", spy)
     p = generate(1, n, 1e2, seed=0)
@@ -373,6 +373,51 @@ def test_kernel_writes_only_cache_aligned_vectors(monkeypatch, solver, n):
     assert rep.status == STATUS_OK
     assert len(offsets) == rep.iterations
     assert set(offsets) == {(0, 0, 0, 0)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("n", [100, 2 * kernels.BLOCK + 7])
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+@pytest.mark.parametrize("index, big, status", [
+    (None, None, STATUS_OK),
+    (0, 1e300, STATUS_NONFINITE),
+    (-1, 1e151, STATUS_NONFINITE),
+], ids=["ok", "nonfinite-start", "gag-overflow"])
+def test_start_is_left_as_it_was(solver, n, index, big, status):
+    # the solver uses its copy of x as scratch for H g and the final
+    # value; the caller's start must come back byte for byte
+    p = generate(1, n, 1e2, seed=0)
+    x0 = starting_point(p, 0)
+    if index is not None:
+        x0[index] = big
+    before = x0.tobytes()
+    rep = solver(p, x0, QuadSolverConfig(eps=1e-6))
+    assert rep.status == status
+    assert x0.tobytes() == before
+
+
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_run_holds_two_vectors_of_n(monkeypatch, solver):
+    # x and g of n elements, the spare and y of BLOCK, and no H g product
+    n = 2 * kernels.BLOCK + 7
+    alloc, sizes = kernels.aligned_empty, []
+    hess_vec, products = quadprob.hess_vec, []
+
+    def spy(size):
+        sizes.append(size)
+        return alloc(size)
+
+    def hess_spy(p, d):
+        products.append(d.size)
+        return hess_vec(p, d)
+
+    monkeypatch.setattr(kernels, "aligned_empty", spy)
+    monkeypatch.setattr(quadprob, "hess_vec", hess_spy)
+    p = generate(1, n, 1e2, seed=0)
+    rep = solver(p, starting_point(p, 0), QuadSolverConfig(eps=1e-6))
+    assert rep.status == STATUS_OK
+    assert sorted(sizes) == [kernels.BLOCK, kernels.BLOCK, n, n]
+    assert products == []
 
 
 def _at_offset(a, offset):
