@@ -1,9 +1,9 @@
-"""Vector kernels for the quadratic benchmark inner loop, in numpy.
+"""The vector kernel of the quadratic solver's inner loop, in numpy.
 
-Both functions write their vector results into arrays the caller passes
-and return scalars.  :func:`quad_step` allocates nothing: besides x and
-the gradient g it needs two scratch vectors of min(n, ``BLOCK``)
-elements, the spare and ``y``, which the solver allocates once per run.
+:func:`quad_step` writes its vector results into arrays the caller
+passes and returns scalars.  It allocates nothing: besides x and the
+gradient g it needs two scratch vectors of min(n, ``BLOCK``) elements,
+the spare and ``y``, which the solver allocates once per run.
 
 Above ``BLOCK`` elements :func:`quad_step` works block by block, so each
 block's passes run in L2 cache instead of streaming the whole vectors
@@ -15,12 +15,9 @@ than a whole-array dot product and can differ from it in the last bits.
 Up to ``BLOCK`` elements the kernel runs once on the whole arrays, the
 same arithmetic bit for bit, and writes the new gradient into the spare.
 
-At small n a step costs numpy call dispatch, not flops, so the kernel
-takes two shortcuts from its caller.  ``alpha`` may be a 0-d float64
-array, which numpy multiplies by at less dispatch cost than a Python
-float; the product is the same.  And with ``gscale`` 1.0, as the
-solver passes it for a spectrum that is the Hessian's diagonal, the
-kernel skips its scaling multiply.
+At small n a step costs numpy call dispatch, not flops, so ``alpha``
+may be a 0-d float64 array, which numpy multiplies by at less dispatch
+cost than a Python float; the product is the same.
 
 The vectors a step writes (x, g, the spare and y) should start on a
 cache-line boundary of ``ALIGN`` = 64 bytes, which :func:`aligned_empty`
@@ -63,21 +60,19 @@ def aligned_empty(n):
     return buf[lo:lo + n]
 
 
-def _step_block(v, xstar, x, g_old, g_new, alpha, gscale, y):
+def _step_block(v, xstar, x, g_old, g_new, alpha, y):
     # out passed positionally: a keyword costs more to parse per call
     np.multiply(g_old, alpha, y)
     np.subtract(x, y, x)
     np.subtract(x, xstar, g_new)
     np.multiply(g_new, v, g_new)
-    if gscale != 1.0:
-        np.multiply(g_new, gscale, g_new)
     np.subtract(g_new, g_old, y)
     # ndarray.dot sums like @ on 1-d arrays, at less call overhead.
     return (float(g_old.dot(y)), float(y.dot(y)), float(g_new.dot(g_new)),
             g_new, g_old)
 
 
-def quad_step(v, xstar, x, g, spare, alpha, gscale, y=None):
+def quad_step(v, xstar, x, g, spare, alpha, y):
     """Advance x by -alpha * g and refresh the gradient.
 
     Returns (g'y, y'y, g_new'g_new, g_new, spare_new), g as on entry and
@@ -87,15 +82,12 @@ def quad_step(v, xstar, x, g, spare, alpha, gscale, y=None):
     elements serve as scratch.  The caller derives s's and s'y from alpha
     and ||g||^2, which it already has from the previous call.  ``alpha``
     is a float or a 0-d float64 array; the gradient is
-    ``gscale * v * (x - xstar)``, and ``gscale`` 1.0 skips a multiply.
-    ``y`` is scratch space of min(n, BLOCK) elements; it is allocated
-    here, aligned, when omitted.
+    ``(x - xstar) * v``.  ``y`` is scratch space of min(n, BLOCK)
+    elements.
     """
     n = x.shape[0]
-    if y is None:
-        y = aligned_empty(min(n, BLOCK))
     if n <= BLOCK:
-        return _step_block(v, xstar, x, g, spare, alpha, gscale, y)
+        return _step_block(v, xstar, x, g, spare, alpha, y)
     gy = yy = gg = 0.0
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
@@ -103,17 +95,9 @@ def quad_step(v, xstar, x, g, spare, alpha, gscale, y=None):
         np.copyto(old, g[lo:hi])
         b_gy, b_yy, b_gg, _, _ = _step_block(
             v[lo:hi], xstar[lo:hi], x[lo:hi], old, g[lo:hi],
-            alpha, gscale, y[:hi - lo])
+            alpha, y[:hi - lo])
         gy += b_gy
         yy += b_yy
         gg += b_gg
     return gy, yy, gg, g, spare
 
-
-def quad_gradient(v, xstar, x, gscale, out):
-    """Write the gradient at x into out; returns ||g||^2."""
-    np.subtract(x, xstar, out=out)
-    out *= v
-    if gscale != 1.0:
-        out *= gscale
-    return float(out @ out)

@@ -76,8 +76,9 @@ def value(p: QuadraticProblem, x: np.ndarray) -> float:
     d = np.asarray(x, dtype=float) - p.x_star
     return p.value_scale * float(d @ (p.spectrum * d))
 
-def gradient(p: QuadraticProblem, x: np.ndarray) -> np.ndarray:
-    d = np.asarray(x, dtype=float) - p.x_star
+def gradient(p: QuadraticProblem, x: np.ndarray, out=None) -> np.ndarray:
+    """The gradient (x - x*) h, written into ``out`` when given."""
+    d = np.subtract(np.asarray(x, dtype=float), p.x_star, out)
     return np.multiply(d, p.spectrum, d)
 
 def hess_vec(p: QuadraticProblem, d: np.ndarray) -> np.ndarray:

@@ -23,10 +23,8 @@ taken in x's own storage.  All four vectors come from
 lines: a misaligned store costs about twice an aligned one, and where
 plain ``np.empty`` puts a vector depends on heap history.  The
 problem's spectrum and x* are only read and stay where they are, since
-misaligning them measured no difference.  The spectrum is the Hessian's
-diagonal, which the kernels take at scale 1.0 with no scaling multiply,
-and a 0-d array a0 carries each stepsize into the kernel at less
-dispatch cost than a Python float.
+misaligning them measured no difference.  A 0-d array a0 carries each
+stepsize into the kernel at less dispatch cost than a Python float.
 """
 
 from __future__ import annotations
@@ -112,7 +110,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     # overflow, which the run reports as "nonfinite"; numpy's overflow
     # warning adds nothing, and no block is entered per iteration
     with np.errstate(over="ignore"):
-        gg = kernels.quad_gradient(h, xs, x, 1.0, g)
+        gg = float(quadprob.gradient(p, x, g).dot(g))
     a0 = np.empty(())   # the stepsize as the kernel takes it
     hist = GradientHistory()
     if gg > 0.0:
@@ -149,8 +147,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         gg_old = gg
         hist.set_stepsize(alpha)
         a0[()] = alpha
-        gy, yy, gg, g, spare = kernels.quad_step(h, xs, x, g, spare, a0,
-                                                 1.0, y)
+        gy, yy, gg, g, spare = kernels.quad_step(h, xs, x, g, spare, a0, y)
         it += 1
         rep.count(branch)
         sy = -alpha * gy

@@ -420,7 +420,9 @@ def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,
     prev_bb1, prev_bb2 = hist.bb1[-2], hist.bb2[-2]
     if not math.isfinite(prev_bb1):
         return bb2, "short_bb2only", tau
-    bb2_min = min(prev_bb2, bb2)
+    # prev_bb2 is nan where its pair's y'y underflowed, and min keeps its
+    # first argument unless the second is smaller
+    bb2_min = min(bb2, prev_bb2)
     try:
         if use_new_step and math.isfinite(hist.bb1[-3]):
             return min(bb2_min, alpha_new_bb(hist)), "short_new", tau

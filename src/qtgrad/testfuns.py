@@ -120,7 +120,8 @@ def helical_valley() -> ObjectiveFn:
     """Minimum is at f(1,0,0)=0."""
 
     def value(x):
-        r = math.hypot(x[0], x[1])
+        # np.float64: its ** overflows to inf where a float's raises
+        r = np.float64(math.hypot(x[0], x[1]))
         th = _theta(x[0], x[1])
         return float(100.0 * ((x[2] - 10.0 * th) ** 2 + (r - 1.0) ** 2)
                      + x[2] ** 2)

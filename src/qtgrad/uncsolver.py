@@ -174,6 +174,9 @@ def _norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+# An objective or the solver's dots may overflow to inf or nan, which the
+# run reports as "nonfinite"; entered once per solve, not per iteration.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunReport:
     """Run the adaptive gradient method on a general objective.
 
@@ -186,9 +189,11 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     has s'y <= 0 the trial resets to min(1, ||x||_inf) / ||g||_inf.  Every
     trial is clamped into [ALPHA_MIN, ALPHA_MAX].  Stops at
     ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
-    aborts with its diagnostic.  A starting point that is not finite, or
-    whose shape is not that of f.x0, raises InvalidInput, and so does a
-    starting gradient of another shape than x.  A value or
+    aborts with its diagnostic, and so does a g'g that underflows to 0
+    while ||g||_inf > eps_inf, which leaves -g no descent to search.  A
+    starting point that is not finite, or whose shape is not that of
+    f.x0, raises InvalidInput, and so does a starting gradient of
+    another shape than x.  A value or
     gradient that is not finite, at the start, at a NaN trial of the line
     search or at an accepted point, ends the run at once with status
     "nonfinite"; an infinite trial value is only a rejected trial.
@@ -249,6 +254,10 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         except LineSearchFailure as exc:
             nfe += MAX_BACKTRACKS + 1
             return finish(STATUS_LINESEARCH, str(exc))
+        except NonDescentDirection:
+            return finish(STATUS_LINESEARCH,
+                          f"g'g underflows to 0 at ||g||_inf = {ginf} "
+                          f"after iteration {it}")
         nfe += used
         if not math.isfinite(f_new):
             return finish(STATUS_NONFINITE,

@@ -1,32 +1,32 @@
 import numpy as np
 import pytest
 
-from qtgrad import kernels
+from qtgrad import kernels, quadprob
 
 
-def _random_case(seed, gscale, n=64):
+def _random_case(seed, scale, n=64):
     rng = np.random.default_rng(seed)
     v = rng.uniform(0.5, 100.0, size=n)
     xs = rng.uniform(-10.0, 10.0, size=n)
     x = rng.uniform(-10.0, 10.0, size=n)
-    g = gscale * v * (x - xs)
+    g = scale * v * (x - xs)
     return v, xs, x, g
 
 
-# gscale 1.0 is how the solver calls the kernel on a spectrum that is
-# the Hessian's diagonal, which skips the scaling multiply; 2.0 scales a
-# spectrum that is half the Hessian.
-@pytest.mark.parametrize("gscale", [1.0, 2.0])
-def test_kernel_matches_dense_formulas(gscale):
-    v, xs, x, g = _random_case(0, gscale)
+# the kernel's gradient is (x - xstar) * h for the Hessian diagonal h;
+# scale 2.0 passes h = 2.0 * v for a v that is half the Hessian, and
+# the product by 2 is exact, so the references scale (x - xstar) * v.
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_kernel_matches_dense_formulas(scale):
+    v, xs, x, g = _random_case(0, scale)
     alpha = 0.01
     x1 = x.copy()
     spare = np.empty_like(g)
-    gy, yy, gg, g_new, _ = kernels.quad_step(v, xs, x1, g.copy(), spare,
-                                             alpha, gscale)
+    gy, yy, gg, g_new, _ = kernels.quad_step(scale * v, xs, x1, g.copy(),
+                                             spare, alpha, np.empty_like(g))
     assert g_new is spare
     x_ref = x - alpha * g
-    g_ref = gscale * v * (x_ref - xs)
+    g_ref = scale * v * (x_ref - xs)
     y_ref = g_ref - g
     np.testing.assert_allclose(x1, x_ref, rtol=1e-15)
     np.testing.assert_allclose(g_new, g_ref, rtol=1e-13)
@@ -35,31 +35,37 @@ def test_kernel_matches_dense_formulas(gscale):
     assert gg == pytest.approx(float(g_ref @ g_ref), rel=1e-12)
 
 
-@pytest.mark.parametrize("gscale", [1.0, 2.0])
-def test_kernel_value_and_gradient(gscale):
-    v, xs, x, _ = _random_case(1, gscale)
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_kernel_value_and_gradient(scale):
+    # the solver takes its starting gradient from quadprob.gradient and
+    # every later one from the kernel: both must be the same bits
+    v, xs, x0, g0 = _random_case(1, scale)
+    p = quadprob.QuadraticProblem(spectrum=scale * v, x_star=xs)
+    x = x0.copy()
+    _, _, gg, g_step, _ = kernels.quad_step(p.spectrum, xs, x, g0,
+                                            np.empty_like(x), 0.01,
+                                            np.empty_like(x))
     out = np.empty_like(x)
-    gg = kernels.quad_gradient(v, xs, x, gscale, out)
-    np.testing.assert_allclose(out, gscale * v * (x - xs), rtol=1e-14)
-    assert gg == pytest.approx(float(out @ out), rel=1e-12)
-    # the solver's value (x - xs)'g / 2 is bitwise d'(v d) gscale / 2
-    # with d = x - xs: each product is the same, and gscale 2.0 is exact
+    assert quadprob.gradient(p, x, out) is out
+    np.testing.assert_array_equal(out, g_step)
+    np.testing.assert_allclose(out, scale * v * (x - xs), rtol=1e-14)
+    assert gg == float(out @ out)
+    # the solver's value (x - xs)'g / 2 is bitwise d'(v d) scale / 2
+    # with d = x - xs: each product is the same, and scale 2.0 is exact
     d = x - xs
     value = 0.5 * float(d.dot(out))
-    assert value == 0.5 * gscale * float(d @ (v * d))
+    assert value == 0.5 * scale * float(d @ (v * d))
 
 
 def test_backend_name_reports_known_value():
     assert kernels.backend_name() == "numpy"
 
 
-def _whole_array_step(v, xs, x, g, alpha, gscale):
+def _whole_array_step(v, xs, x, g, alpha):
     """quad_step's arithmetic on the whole arrays, with fresh temporaries;
     the dots come as a list, like those unpacked from a step."""
     x_ref = x - alpha * g
     g_ref = (x_ref - xs) * v
-    if gscale != 1.0:
-        g_ref = g_ref * gscale
     y_ref = g_ref - g
     return (x_ref, g_ref,
             [float(g @ y_ref), float(y_ref @ y_ref), float(g_ref @ g_ref)])
@@ -68,20 +74,20 @@ def _whole_array_step(v, xs, x, g, alpha, gscale):
 BLOCK_SIZES = [kernels.BLOCK, kernels.BLOCK + 1, 2 * kernels.BLOCK + 7]
 
 
-@pytest.mark.parametrize("gscale", [1.0, 2.0])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
 @pytest.mark.parametrize("n", [64] + BLOCK_SIZES)
-def test_blocked_step_matches_whole_array_formula(n, gscale):
-    v, xs, x, g = _random_case(n, gscale, n=n)
+def test_blocked_step_matches_whole_array_formula(n, scale):
+    v, xs, x, g = _random_case(n, scale, n=n)
+    v = scale * v
     alpha = 0.01
-    x_ref, g_ref, dots_ref = _whole_array_step(v, xs, x, g, alpha, gscale)
-    # the solver's call: the scaled spectrum, scale 1.0, the stepsize as
-    # a 0-d array and a spare of min(n, BLOCK) elements, bitwise the same
-    # as the unscaled call at every n
+    x_ref, g_ref, dots_ref = _whole_array_step(v, xs, x, g, alpha)
+    # the solver's call: the stepsize as a 0-d array and a spare and y
+    # of min(n, BLOCK) elements, bitwise the same as a float stepsize
+    # with a spare and y of n elements at every n
     m = min(n, kernels.BLOCK)
     x_pre, g_in, spare = x.copy(), g.copy(), np.empty(m)
     *dots_pre, g_pre, spare_pre = kernels.quad_step(
-        gscale * v, xs, x_pre, g_in, spare, np.array(alpha), 1.0,
-        np.empty(m))
+        v, xs, x_pre, g_in, spare, np.array(alpha), np.empty(m))
     # above BLOCK g is refreshed in place; up to it the new gradient
     # goes into the spare and g becomes the spare
     if n > kernels.BLOCK:
@@ -89,7 +95,7 @@ def test_blocked_step_matches_whole_array_formula(n, gscale):
     else:
         assert g_pre is spare and spare_pre is g_in
     *dots, g_new, _ = kernels.quad_step(v, xs, x, g.copy(), np.empty_like(g),
-                                        alpha, gscale)
+                                        alpha, np.empty_like(g))
     np.testing.assert_array_equal(x_pre, x)
     np.testing.assert_array_equal(g_pre, g_new)
     assert dots_pre == dots
@@ -100,18 +106,21 @@ def test_blocked_step_matches_whole_array_formula(n, gscale):
         assert dots == dots_ref
 
 
-@pytest.mark.parametrize("gscale", [1.0, 2.0])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
 @pytest.mark.parametrize("n", [64] + BLOCK_SIZES)
-def test_step_with_scratch_matches_step_without(n, gscale):
-    v, xs, x, g = _random_case(n, gscale, n=n)
+def test_step_with_scratch_matches_step_without(n, scale):
+    # a y of min(n, BLOCK) elements against one of the whole n, which the
+    # blocked path slices: the same step either way
+    v, xs, x, g = _random_case(n, scale, n=n)
+    v = scale * v
     m = min(n, kernels.BLOCK)
     x_own = x.copy()
     *dots_own, g_own, _ = kernels.quad_step(v, xs, x_own, g.copy(),
-                                            np.empty(m), 0.01, gscale)
+                                            np.empty(m), 0.01, np.empty(n))
     y = np.empty(m)
     g_in, spare = g.copy(), np.empty(m)
     *dots, g_new, spare_new = kernels.quad_step(v, xs, x, g_in, spare, 0.01,
-                                                gscale, y)
+                                                y)
     if n > kernels.BLOCK:
         assert g_new is g_in and spare_new is spare
     else:
@@ -154,8 +163,8 @@ def test_step_is_bitwise_the_same_at_every_offset(n):
     def step_at(w, r):
         x_w = _at_offset(x, w)
         *dots, g_w, _ = kernels.quad_step(
-            _at_offset(v, r), _at_offset(xs, r), x_w, _at_offset(g, r),
-            _at_offset(np.empty(m), w), alpha, 2.0, _at_offset(np.empty(m), w))
+            _at_offset(2.0 * v, r), _at_offset(xs, r), x_w, _at_offset(g, r),
+            _at_offset(np.empty(m), w), alpha, _at_offset(np.empty(m), w))
         return dots, x_w, g_w
 
     dots_ref, x_ref, g_ref = step_at(0, 0)

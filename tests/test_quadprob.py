@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtgrad import quadprob
+from qtgrad import kernels, quadprob
 from qtgrad.errors import InvalidSpec
 
 
@@ -15,6 +15,17 @@ def test_value_gradient_hessvec_against_dense():
     assert quadprob.value(p, x) == pytest.approx(float(d @ (v * d)), rel=1e-14)
     np.testing.assert_allclose(quadprob.gradient(p, x), 2.0 * v * d, rtol=1e-14)
     np.testing.assert_allclose(quadprob.hess_vec(p, d), 2.0 * v * d, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [100, 2 * kernels.BLOCK + 7])
+def test_gradient_into_out_is_the_allocating_gradient(n):
+    p = quadprob.generate(1, n, 1e3, seed=5)
+    x = quadprob.starting_point(p, 0)
+    before = x.tobytes()
+    out = np.empty(n)
+    assert quadprob.gradient(p, x, out) is out
+    np.testing.assert_array_equal(out, quadprob.gradient(p, x))
+    assert x.tobytes() == before
 
 
 def test_verification_problem_hessian():

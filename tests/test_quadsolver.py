@@ -125,14 +125,12 @@ def _exact_gnorm_sq_along(p, x0, rows):
     Degenerate decision; the solver's own kernel reproduces g'g exactly.
     """
     x = np.array(x0, dtype=float)
-    g = np.empty_like(x)
-    spare = np.empty_like(x)
-    kernels.quad_gradient(p.spectrum, p.x_star, x, p.grad_scale, g)
+    g = quadprob.gradient(p, x)
+    spare, y = np.empty_like(x), np.empty_like(x)
     out = []
     for row in rows:
         _, _, gg, g, spare = kernels.quad_step(p.spectrum, p.x_star, x, g,
-                                               spare, row.stepsize,
-                                               p.grad_scale)
+                                               spare, row.stepsize, y)
         out.append(gg)
     return out
 
@@ -362,10 +360,10 @@ def test_kernel_writes_only_cache_aligned_vectors(monkeypatch, solver, n):
     step = kernels.quad_step
     offsets = []
 
-    def spy(v, xstar, x, g, spare, alpha, gscale, y=None):
+    def spy(v, xstar, x, g, spare, alpha, y):
         offsets.append(tuple(a.ctypes.data % kernels.ALIGN
                              for a in (x, g, spare, y)))
-        return step(v, xstar, x, g, spare, alpha, gscale, y)
+        return step(v, xstar, x, g, spare, alpha, y)
 
     monkeypatch.setattr(kernels, "quad_step", spy)
     p = generate(1, n, 1e2, seed=0)

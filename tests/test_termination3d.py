@@ -464,3 +464,15 @@ def test_next_stepsize_zero_tau_never_takes_a_short_step(stale, degenerate):
     for k in (4, 5, 50):
         assert next_stepsize(hist, k, 0.0, 2.0, True) == (
             hist.bb1[-1], "bb1", 0.0)
+
+
+@pytest.mark.parametrize("use_new, branch", [
+    (True, "short_new"), (False, "short_bb2")])
+def test_next_stepsize_skips_an_undefined_previous_bb2(use_new, branch):
+    # the previous pair has BB1 but its y'y underflowed, so its BB2 is
+    # nan; min(nan, bb2) is nan, which the rule returned as the stepsize
+    hist = _rule_history()
+    hist.bb2[-2] = math.nan
+    expect = alpha_new_bb(hist) if use_new else hist.bb2[-1]
+    assert expect <= hist.bb2[-1]
+    assert next_stepsize(hist, 6, 1.0, 2.0, use_new) == (expect, branch, 0.5)

@@ -271,6 +271,44 @@ def test_feval_budget_status(monkeypatch):
     assert rep.nfe >= 2
 
 
+def test_underflowing_gg_ends_the_run_with_a_status():
+    # g = [0, 3.1e-165, -1.4e-165] has ||g||_inf above eps_inf but a g'g
+    # that underflows to 0; the line search's NonDescentDirection used to
+    # escape solve
+    rep = solve(testfuns.helical_valley(), cfg=UncSolverConfig(eps_inf=1e-300))
+    assert rep.status == STATUS_LINESEARCH
+    assert "underflows" in rep.message
+    assert rep.final_gnorm > 1e-300 and rep.iterations > 0
+
+
+def test_undefined_previous_bb2_is_not_a_stepsize(monkeypatch):
+    # at iteration 828 the previous pair's BB2 is nan, which was taken as
+    # the stepsize: the run ended "nonfinite" although f and g were finite
+    monkeypatch.setattr(unc, "MAX_ITER", 1000)
+    rep = solve(testfuns.dixon_price(),
+                cfg=UncSolverConfig(eps_inf=1e-300, keep_trace=True))
+    assert rep.status == STATUS_MAXITER
+    assert rep.iterations == 1000
+    assert all(0.0 < row.stepsize < math.inf for row in rep.trace)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e3, 1e8, 1e15, 1e40, 1e100, 1e200, 1e300])
+def test_far_starts_end_with_a_status(monkeypatch, scale):
+    # an overflow in an objective or in the solver's dots used to escape
+    # solve as OverflowError (helical_valley's Python-float r ** 2) or,
+    # under this filter, as a RuntimeWarning (beale at 3e7 x0); the
+    # budgets are cut so that runs that stall end in a second
+    monkeypatch.setattr(unc, "MAX_ITER", 2000)
+    monkeypatch.setattr(unc, "MAX_FEVALS", 20000)
+    statuses = {STATUS_OK, STATUS_MAXITER, STATUS_FEVAL_BUDGET,
+                STATUS_LINESEARCH, STATUS_NONFINITE}
+    for f in testfuns.builtin_suite():
+        for use_new in (True, False):
+            rep = solve(f, scale * f.x0, UncSolverConfig(use_new_step=use_new))
+            assert rep.status in statuses, (f.name, use_new)
+
+
 def test_trial_stepsizes_are_clamped(monkeypatch):
     seen = []
     real = unc._search
