@@ -81,6 +81,7 @@ class QuadSolverConfig:
             raise ValueError("eps must lie in (0, inf)")
 
 
+@np.errstate(over="ignore")
 def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
            method: str, tau: float) -> RunReport:
     """One exact SD step, then the adaptive rule from threshold tau.
@@ -89,9 +90,11 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     overflows or underflows to 0, ends the run at iteration 0 with status
     "nonfinite"; a g'g that overflows later ends it where the rule finds
     no curvature, which its first non-finite g'g always brings about (its
-    BB1 is 0 or nan).  The kernels, ``sd_stepsize``, ``next_stepsize``
-    and ``hist.set_stepsize`` are looked up at every call, never hoisted,
-    so that wrappers patched onto them see every call.
+    BB1 is 0 or nan); a g'g that underflows to 0 while g is not, which
+    would pass the convergence test unmeasured, ends it there.  Statuses
+    report every overflow, so numpy's warning is off for the run.  The
+    loop looks up every kernel, stepsize and ``set_stepsize`` function
+    where it calls it, so that wrappers patched onto them see every call.
     """
     t0 = time.perf_counter()
     h, xs = p.spectrum, p.x_star
@@ -106,11 +109,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     g = kernels.aligned_empty(n)
     spare = kernels.aligned_empty(min(n, kernels.BLOCK))
     y = kernels.aligned_empty(min(n, kernels.BLOCK))
-    # the starting gradient, the SD step's g'Ag and the final value may
-    # overflow, which the run reports as "nonfinite"; numpy's overflow
-    # warning adds nothing, and no block is entered per iteration
-    with np.errstate(over="ignore"):
-        gg = float(quadprob.gradient(p, x, g).dot(g))
+    gg = float(quadprob.gradient(p, x, g).dot(g))
     a0 = np.empty(())   # the stepsize as the kernel takes it
     hist = GradientHistory()
     if gg > 0.0:
@@ -119,14 +118,16 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     it = 0
 
     def finish(status: str, message: str = "") -> RunReport:
+        if status == STATUS_OK and gg == 0.0 and g.any():
+            status = STATUS_NONFINITE
+            message = f"g'g underflows to 0 at iteration {it}"
         rep.iterations = it
         rep.ngrad = it + 1
         rep.status = status
         rep.message = message
         rep.final_gnorm = math.sqrt(gg)
-        with np.errstate(over="ignore"):
-            np.subtract(x, xs, x)   # x is not read again
-            rep.final_f = p.value_scale * float(x.dot(g))
+        np.subtract(x, xs, x)   # x is not read again
+        rep.final_f = p.value_scale * float(x.dot(g))
         rep.wall_time = time.perf_counter() - t0
         return rep
 
@@ -136,9 +137,8 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     if math.sqrt(gg) <= gtol:
         return finish(STATUS_OK)
     try:
-        with np.errstate(over="ignore"):
-            # H g is held in x until the start is copied back
-            alpha, branch = sd_stepsize(g, np.multiply(h, g, x)), "sd"
+        # H g is held in x until the start is copied back
+        alpha, branch = sd_stepsize(g, np.multiply(h, g, x)), "sd"
     except NumericalFailure as exc:
         x[:] = x0
         return finish(STATUS_NONFINITE, f"steepest-descent step: {exc}")
@@ -208,6 +208,7 @@ def solve_new(p: quadprob.QuadraticProblem, x0,
 VERIFY_METHODS = ("day3d", "bb13d", "bb23d", "bb1")
 
 
+@np.errstate(over="ignore")
 def verify_3d_termination(kappa: float, method: str, seed: int,
                           keep_trace: bool = False) -> RunReport:
     """Fixed 8-step schedule on the 3-d verification problem.
@@ -227,7 +228,7 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     ends the run with status "degenerate" rather than substituting
     another stepsize; a gradient that is not finite at any iterate, or an
     overflowing or underflowing g'Ag in the first step, ends it with
-    status "nonfinite".
+    status "nonfinite", so numpy's overflow warning is off for the run.
     """
     if method not in VERIFY_METHODS:
         raise ValueError(f"method must be one of {VERIFY_METHODS}")
@@ -235,11 +236,7 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     x = quadprob.starting_point(p, seed)
     rep = RunReport(method=method)
     t0 = time.perf_counter()
-    # the starting gradient, g'g, the final ||g|| and f, and the SD step's
-    # g'Ag may overflow, which the run reports as "nonfinite"; numpy's
-    # overflow warning adds nothing
-    with np.errstate(over="ignore"):
-        g = quadprob.gradient(p, x)
+    g = quadprob.gradient(p, x)
     rep.ngrad = 1
     early_grads: list[np.ndarray] = [g.copy()]
     # BB values of the pair ending at the current iterate, and BB1 and
@@ -250,15 +247,13 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     def finish(status: str, message: str = "") -> RunReport:
         rep.status = status
         rep.message = message
-        with np.errstate(over="ignore"):
-            rep.final_gnorm = float(np.linalg.norm(g))
-            rep.final_f = quadprob.value(p, x)
+        rep.final_gnorm = float(np.linalg.norm(g))
+        rep.final_f = quadprob.value(p, x)
         rep.wall_time = time.perf_counter() - t0
         return rep
 
     for k in range(1, 10):
-        with np.errstate(over="ignore"):
-            gg = float(g @ g)
+        gg = float(g @ g)
         if not math.isfinite(gg):
             return finish(STATUS_NONFINITE, f"gradient not finite at k={k}")
         if k == 9 or gg == 0.0:
@@ -266,8 +261,7 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
             return finish(STATUS_OK)
         try:
             if k == 1:
-                with np.errstate(over="ignore"):
-                    alpha = sd_stepsize(g, quadprob.hess_vec(p, g))
+                alpha = sd_stepsize(g, quadprob.hess_vec(p, g))
                 branch = "sd"
             elif special and k == 3:
                 u, v, r = gram_schmidt3(*early_grads)

@@ -40,6 +40,9 @@ _SYM_RTOL = 1e-12
 TOL_DEP = 1e-10
 # |p| under this, relative to tr(H^2), means a triple eigenvalue.
 _P_TOL = 1e-12
+# Bisection budget and relative stopping width of largest_root_quartic.
+_QUARTIC_STEPS = 200
+_QUARTIC_RTOL = 1e-13
 # Bound of the chained finiteness guards: -_INF < x < _INF fails on nan
 # and on either infinity.
 _INF = math.inf
@@ -193,15 +196,16 @@ def _largest_root(tr: float, tr2: float, det: float):
 
     The characteristic cubic of a symmetric 3x3 from its trace, tr(H^2)
     and det.  The shifted cubic has p = (tr^2 - 3 tr2) / 6, nonpositive
-    for symmetric input; when p is negligible all eigenvalues coincide
+    for symmetric input; when |p| <= _P_TOL tr2 all eigenvalues coincide
     and the root is tr/3.  The arccos argument is clamped to [-1, 1] to
-    absorb roundoff at double eigenvalues.  Raises Degenerate on p > 0, on
-    a large residual and on a root that is not positive (no stepsize).
-    Conditionals stand in for min/max, whose calls cost more here.
+    absorb roundoff at double eigenvalues.  Raises Degenerate on p > 0, a
+    residual above 1e-9 tr2^1.5 or a root <= 0, and OverflowError where a
+    float ``**`` overflows.  Both tolerances scale with tr2 = ||H||_F^2,
+    so c H gives c times the root, even for an indefinite H of trace 0.
     """
     p = (tr * tr - 3.0 * tr2) / 6.0
     q = (5.0 * tr**3 - 9.0 * tr * tr2) / 54.0 - det
-    if abs(p) <= _P_TOL * (abs(tr2) if abs(tr2) > 1.0 else 1.0):
+    if abs(p) <= _P_TOL * abs(tr2):
         theta = 0.0
         root = tr / 3.0
     else:
@@ -211,8 +215,7 @@ def _largest_root(tr: float, tr2: float, det: float):
         theta = math.acos(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
         root = tr / 3.0 + 2.0 * math.cos(theta / 3.0) * math.sqrt(abs(p) / 3.0)
     residual = ((root - tr) * root + (tr * tr - tr2) / 2.0) * root - det
-    bound = abs(tr) ** 3
-    if not abs(residual) <= 1e-9 * (bound if bound > 1.0 else 1.0):
+    if not abs(residual) <= 1e-9 * tr2 ** 1.5:
         raise Degenerate(f"cubic residual {residual} too large")
     if not (math.isfinite(root) and root > 0.0):
         raise Degenerate(f"largest root = {root}")
@@ -227,8 +230,7 @@ def largest_root_cubic(h: HMatrix) -> CubicSolve:
     return CubicSolve(*_largest_root(h.trace, h.trace_sq, h.det))
 
 
-def largest_root_quartic(entries, max_steps: int = 200,
-                         rtol: float = 1e-13) -> float:
+def largest_root_quartic(entries) -> float:
     """Largest eigenvalue of a symmetric 4x4 via safeguarded bisection.
 
     No solver calls this; it is the 4x4 counterpart of
@@ -264,13 +266,13 @@ def largest_root_quartic(entries, max_steps: int = 200,
     if hi <= lo:
         return hi
     if not at_or_above(hi):
-        hi += rtol * max(1.0, abs(hi))
+        hi += _QUARTIC_RTOL * max(1.0, abs(hi))
         if not at_or_above(hi):
             raise NumericalFailure("Gershgorin bound fails the root predicate")
     steps = 0
-    while hi - lo > rtol * max(1.0, abs(hi)):
+    while hi - lo > _QUARTIC_RTOL * max(1.0, abs(hi)):
         steps += 1
-        if steps > max_steps:
+        if steps > _QUARTIC_STEPS:
             raise NumericalFailure("quartic bisection did not converge")
         mid = 0.5 * (lo + hi)
         if at_or_above(mid):
@@ -384,13 +386,16 @@ def hmatrix_from_recurrence(scal: RecurrenceScalars,
 def alpha_new_bb(hist: GradientHistory) -> float:
     """Three-dimensional quadratic-termination stepsize, recurrence route.
 
-    Plain float arithmetic throughout, with no intermediate object: the
-    scalars stay a plain tuple.  Every failure mode (short history,
-    degenerate scalars, g_r <= 0, indefinite or ill-posed H) surfaces as
-    Degenerate so callers have a single fallback path.
+    Plain float arithmetic on a plain tuple of scalars.  Every failure
+    (short history, degenerate scalars, g_r <= 0, indefinite or ill-posed
+    H, a float ``**`` that overflows, as tr^3 does above |tr| ~ 5.6e102)
+    surfaces as Degenerate so callers have a single fallback path.
     """
-    entries = _recurrence_entries(_scalars(hist), hist)
-    return 1.0 / _largest_root(*_tridiagonal_invariants(*entries))[3]
+    try:
+        entries = _recurrence_entries(_scalars(hist), hist)
+        return 1.0 / _largest_root(*_tridiagonal_invariants(*entries))[3]
+    except OverflowError as exc:
+        raise Degenerate(f"overflow: {exc}") from None
 
 
 def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,

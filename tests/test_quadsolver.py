@@ -313,7 +313,6 @@ def test_nonfinite_start_is_invalid_input(solver, bad):
         solver(p, x0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("solver, index, big", [
     (solve_bb, 0, 1e300), (solve_new, 0, 1e300),
     (solve_bb, -1, 1e151), (solve_new, -1, 1e151),
@@ -342,7 +341,22 @@ def test_underflowing_sd_curvature_reports_nonfinite(solver):
     assert "g'Ag" in rep.message
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+@pytest.mark.parametrize("h_scale, x0_scale", [(1e-200, 1.0), (1.0, 1e-160)],
+                         ids=["start", "mid-run"])
+def test_underflowing_gradient_norm_reports_nonfinite(solver, h_scale,
+                                                      x0_scale):
+    # g'g underflows to 0 while ||g|| is about 1e-197 at the start, or
+    # about 1.5e-162 later with eps ||g_0|| far under it; the run used to
+    # pass its convergence test there and report ok
+    p = generate(1, 10, 1e2, seed=0)
+    rep = solver(QuadraticProblem(p.spectrum * h_scale, np.zeros(10)),
+                 starting_point(p, 0) * x0_scale)
+    assert rep.status == STATUS_NONFINITE
+    assert (rep.iterations == 0) == (h_scale < 1.0)
+    assert "underflows" in rep.message
+
+
 @pytest.mark.parametrize("solver", [solve_bb, solve_new])
 def test_gradient_overflowing_mid_run_reports_nonfinite(solver):
     # g'g is finite at the start and after the SD step, then overflows;
@@ -352,6 +366,34 @@ def test_gradient_overflowing_mid_run_reports_nonfinite(solver):
     assert rep.status == STATUS_NONFINITE
     assert rep.iterations == 2
     assert "fallback" not in rep.branch_counts
+
+
+def test_new_step_does_not_depend_on_the_hessian_scale():
+    # every stepsize scales by 1/c with H, so the iterations should not
+    # move; the cubic's tolerances were floored at 1 and, at c <= 1e-10,
+    # solve_new took 25 to 40 times as many iterations as at c = 1
+    p = generate(4, 100, 1e4, seed=0)
+    cfg = QuadSolverConfig(eps=1e-6)
+
+    def mean_iterations(c):
+        q = QuadraticProblem(p.spectrum * c, p.x_star)
+        return np.mean([solve_new(q, starting_point(p, s), cfg).iterations
+                        for s in range(6)])
+
+    base = mean_iterations(1.0)
+    for c in (1e-12, 1e-10):
+        assert mean_iterations(c) <= 1.5 * base
+
+
+def test_new_step_overflowing_in_the_cubic_falls_back():
+    # tr(H) is about 2e104, so tr^3 overflows; the OverflowError of the
+    # Python float power used to escape solve_new
+    p = generate(4, 20, 1e4, seed=0)
+    q = QuadraticProblem(p.spectrum * 1e100, p.x_star / 1e100)
+    rep = solve_new(q, starting_point(p, 0) / 1e100)
+    assert rep.status == STATUS_OK
+    assert rep.branch_counts["short_bb2"] > 0
+    assert "short_new" not in rep.branch_counts
 
 
 @pytest.mark.parametrize("n", [100, 2 * kernels.BLOCK + 7])
@@ -373,7 +415,6 @@ def test_kernel_writes_only_cache_aligned_vectors(monkeypatch, solver, n):
     assert set(offsets) == {(0, 0, 0, 0)}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("n", [100, 2 * kernels.BLOCK + 7])
 @pytest.mark.parametrize("solver", [solve_bb, solve_new])
 @pytest.mark.parametrize("index, big, status", [

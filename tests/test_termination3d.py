@@ -119,27 +119,39 @@ def test_cubic_identity_matrix_hits_safeguard():
     assert solve.p == pytest.approx(0.0, abs=1e-12)
 
 
+# H times c must give c times the root; the cubic's tolerances were
+# floored at 1, so at c = 1e-8 and below the root came out as tr/3
+SCALES = (1e-12, 1e-8, 1.0, 1e8)
+
+
 def test_cubic_on_diagonal():
-    solve = largest_root_cubic(HMatrix(np.diag([0.1, 5.0, 2.0])))
-    assert solve.largest_root == pytest.approx(5.0, rel=1e-12)
-    assert solve.p <= 0.0
-    assert 0.0 <= solve.theta <= math.pi
+    for scale in SCALES:
+        solve = largest_root_cubic(HMatrix(np.diag([0.1, 5.0, 2.0]) * scale))
+        assert solve.largest_root == pytest.approx(5.0 * scale, rel=1e-12)
+        assert solve.p <= 0.0
+        assert 0.0 <= solve.theta <= math.pi
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_cubic_matches_eigensolvers(seed):
     rng = np.random.default_rng(seed)
-    A = random_symmetric(rng, 3)
-    root = largest_root_cubic(HMatrix(A)).largest_root
-    assert root == pytest.approx(lapack_largest_eig(A), rel=1e-11)
-    assert root == pytest.approx(bisect_largest_eig(A), rel=1e-11)
+    A1 = random_symmetric(rng, 3)
+    for scale in SCALES:
+        A = A1 * scale
+        root = largest_root_cubic(HMatrix(A)).largest_root
+        assert root == pytest.approx(lapack_largest_eig(A), rel=1e-11)
+        assert root == pytest.approx(bisect_largest_eig(A), rel=1e-11)
 
 
 def test_cubic_indefinite_input():
-    rng = np.random.default_rng(99)
-    A = random_symmetric(rng, 3, spectrum=np.array([-4.0, 1.0, 2.5]))
-    root = largest_root_cubic(HMatrix(A)).largest_root
-    assert root == pytest.approx(2.5, rel=1e-11)
+    # the second spectrum has trace 0, so the residual test cannot be
+    # relative to |tr|^3 there; at c = 1e8 the floored test raised
+    for spectrum in ([-4.0, 1.0, 2.5], [-41.4, 0.02, 41.38]):
+        rng = np.random.default_rng(99)
+        A1 = random_symmetric(rng, 3, spectrum=np.array(spectrum))
+        for scale in SCALES:
+            root = largest_root_cubic(HMatrix(A1 * scale)).largest_root
+            assert root == pytest.approx(spectrum[2] * scale, rel=1e-11)
 
 
 def test_cubic_rejects_nonpositive_root():

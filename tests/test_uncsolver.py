@@ -204,7 +204,6 @@ def _nan_gradient(x):
     return np.array([math.nan])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("f, x0", [
     (testfuns.rosenbrock2(), np.array([1e300, 1.0])),
     (ObjectiveFn("inf", _inf_value, lambda x: np.array([1.0]),
