@@ -43,6 +43,9 @@ _P_TOL = 1e-12
 # Bisection budget and relative stopping width of largest_root_quartic.
 _QUARTIC_STEPS = 200
 _QUARTIC_RTOL = 1e-13
+# largest_root_cubic solves H unscaled while its largest entry's binary
+# exponent e has |e| <= _SCALE_EXP, about 1e-10 to 4e9.
+_SCALE_EXP = 32
 # Bound of the chained finiteness guards: -_INF < x < _INF fails on nan
 # and on either infinity.
 _INF = math.inf
@@ -56,7 +59,7 @@ def _symmetric(entries, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("entries are not finite")
     scale = float(np.abs(a).max())
-    if not np.allclose(a, a.T, rtol=_SYM_RTOL, atol=_SYM_RTOL * max(scale, 1.0)):
+    if not np.allclose(a, a.T, rtol=_SYM_RTOL, atol=_SYM_RTOL * scale):
         raise ValueError("entries are not symmetric")
     return a
 
@@ -66,7 +69,8 @@ class HMatrix:
     """Symmetric 3x3 matrix with its spectral invariants cached.
 
     ``trace_sq`` is tr(H^2); it is computed once at construction with the
-    trace and the determinant, the three numbers the cubic solver reads.
+    trace and the determinant, the three numbers the cubic solver reads
+    unless it scales H.  Each is inf or 0 where it leaves the float range.
     """
 
     entries: np.ndarray
@@ -77,9 +81,16 @@ class HMatrix:
     def __post_init__(self):
         a = _symmetric(self.entries, 3)
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "trace", float(np.trace(a)))
-        object.__setattr__(self, "trace_sq", float(np.trace(a @ a)))
-        object.__setattr__(self, "det", float(np.linalg.det(a)))
+        tr, tr2, det = _invariants(a)
+        object.__setattr__(self, "trace", tr)
+        object.__setattr__(self, "trace_sq", tr2)
+        object.__setattr__(self, "det", det)
+
+
+@np.errstate(over="ignore")
+def _invariants(a: np.ndarray):
+    """(tr A, tr(A^2), det A) of a square array, inf where they overflow."""
+    return float(np.trace(a)), float(np.trace(a @ a)), float(np.linalg.det(a))
 
 
 class CubicSolve(NamedTuple):
@@ -200,8 +211,10 @@ def _largest_root(tr: float, tr2: float, det: float):
     and the root is tr/3.  The arccos argument is clamped to [-1, 1] to
     absorb roundoff at double eigenvalues.  Raises Degenerate on p > 0, a
     residual above 1e-9 tr2^1.5 or a root <= 0, and OverflowError where a
-    float ``**`` overflows.  Both tolerances scale with tr2 = ||H||_F^2,
-    so c H gives c times the root, even for an indefinite H of trace 0.
+    float ``**`` overflows, which alpha_new_bb turns into Degenerate and
+    largest_root_cubic's scaling rules out.  Both tolerances scale with
+    tr2 = ||H||_F^2, so c H gives c times the root, even for an
+    indefinite H of trace 0.
     """
     p = (tr * tr - 3.0 * tr2) / 6.0
     q = (5.0 * tr**3 - 9.0 * tr * tr2) / 54.0 - det
@@ -225,9 +238,24 @@ def _largest_root(tr: float, tr2: float, det: float):
 def largest_root_cubic(h: HMatrix) -> CubicSolve:
     """Largest eigenvalue of a symmetric 3x3 via the trigonometric form.
 
-    Raises Degenerate when the solve fails or the root is not positive.
+    With H's largest entry f 2^e, f in [1/2, 1), H is solved as given
+    while |e| <= _SCALE_EXP, and beyond that as H / 2^e, the root then
+    times 2^e.  Both scalings are exact while no entry or root goes
+    subnormal, so c H gives c times the root at every float scale, and
+    the cubic's invariants and powers neither overflow nor underflow.
+    The window keeps the bits numpy's det, exp(log |det|), gives
+    unscaled.  p, q and theta are those of the matrix solved.  Raises
+    Degenerate when the solve fails, or the root is not positive or
+    leaves the float range.
     """
-    return CubicSolve(*_largest_root(h.trace, h.trace_sq, h.det))
+    e = math.frexp(float(np.abs(h.entries).max()))[1]
+    if abs(e) <= _SCALE_EXP:
+        return CubicSolve(*_largest_root(h.trace, h.trace_sq, h.det))
+    p, q, theta, root = _largest_root(*_invariants(np.ldexp(h.entries, -e)))
+    try:
+        return CubicSolve(p, q, theta, math.ldexp(root, e))
+    except OverflowError:
+        raise Degenerate(f"largest root {root} * 2^{e} overflows") from None
 
 
 def largest_root_quartic(entries) -> float:
@@ -335,7 +363,8 @@ def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
     also for a history of fewer than four iterates) or nonpositive, when
     zeta vanishes (consecutive gradients nearly orthogonal, so delta is
     unbounded), or when sigma reaches 1 (consecutive gradients nearly
-    parallel).
+    parallel).  An overflowing float ``**`` raises OverflowError, which
+    alpha_new_bb turns into Degenerate.
     """
     return RecurrenceScalars._make(_scalars(hist))
 

@@ -44,9 +44,6 @@ ETA = 0.5
 MAX_BACKTRACKS = 60
 # Iterations without a new best value before the reference value resets.
 REF_CAP = 3
-# Every trial stepsize is clamped into [ALPHA_MIN, ALPHA_MAX].
-ALPHA_MIN = 1e-10
-ALPHA_MAX = 1e6
 # Budgets: iterations and objective values of one run.
 MAX_ITER = 200000
 MAX_FEVALS = 1000000
@@ -149,9 +146,9 @@ class UncSolverConfig:
     run stops at ||g||_inf <= ``eps_inf``, or after ``MAX_ITER``
     iterations or ``MAX_FEVALS`` values.  ``use_new_step`` picks alg1 over
     alg1-bbq; ``keep_trace`` records every iteration.  Constants: this
-    module's ``ALPHA_MIN``, ``ALPHA_MAX``, ``MAX_ITER``, ``MAX_FEVALS``,
-    ``DELTA``, ``ETA``, ``MAX_BACKTRACKS`` and ``REF_CAP``,
-    ``stepsizes.TOL_DEN`` and ``termination3d.TOL_DEP``.
+    module's ``MAX_ITER``, ``MAX_FEVALS``, ``DELTA``, ``ETA``,
+    ``MAX_BACKTRACKS`` and ``REF_CAP``, ``stepsizes.TOL_DEN`` and
+    ``termination3d.TOL_DEP``.
     """
 
     tau1: float = 0.65
@@ -185,9 +182,11 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     (:func:`qtgrad.termination3d.next_stepsize`): ratio test against tau,
     short steps from the three-point recurrence when the last three pairs
     all have positive curvature, the BBQ step when only two do, bare BB2
-    otherwise, with tau shrunk or grown by gamma.  When the newest pair
-    has s'y <= 0 the trial resets to min(1, ||x||_inf) / ||g||_inf.  Every
-    trial is clamped into [ALPHA_MIN, ALPHA_MAX].  Stops at
+    otherwise, with tau shrunk or grown by gamma.  The first trial is
+    ||x||_inf / ||g||_inf; when the newest pair has s'y <= 0 the trial
+    resets to min(1, ||x||_inf) / ||g||_inf.  Both are 1 / ||g||_inf at
+    x = 0.  No trial is clamped, so f times c gives every trial divided
+    by c.  Stops at
     ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
     aborts with its diagnostic, and so does a g'g that underflows to 0
     while ||g||_inf > eps_inf, which leaves -g no descent to search.  A
@@ -241,7 +240,6 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         return finish(STATUS_OK)
     xinf = _norm_inf(x)
     alpha = (xinf / ginf) if xinf > 0.0 else (1.0 / ginf)
-    alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
     branch = "init"
     tau, gamma, use_new_step = cfg.tau1, cfg.gamma, cfg.use_new_step
     trace = rep.trace if cfg.keep_trace else None
@@ -300,9 +298,5 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         alpha, branch, tau = next_stepsize(hist, it + 1, tau, gamma,
                                            use_new_step)
         if alpha is None:
-            alpha = min(1.0 / ginf, _norm_inf(x) / ginf)
-        # min(max(alpha, ALPHA_MIN), ALPHA_MAX) without two builtin calls
-        if alpha < ALPHA_MIN:
-            alpha = ALPHA_MIN
-        elif alpha > ALPHA_MAX:
-            alpha = ALPHA_MAX
+            xinf = _norm_inf(x)
+            alpha = min(1.0, xinf) / ginf if xinf > 0.0 else 1.0 / ginf

@@ -14,8 +14,8 @@ three-point step when the last three pairs are fresh and the new step is
 on, or with the BBQ step otherwise; the BB2 min alone when that
 candidate degenerates; the bare BB2 when the previous pair is not fresh.
 ``rule`` only names the restart after a pair without curvature
-("fallback" for "quad", "nocurv" for "unc"), and ``clamp`` bounds every
-stepsize as the globalized solver does.  The exact squared 2-norms g'g
+("fallback" for "quad", "nocurv" for "unc"); both solvers take the
+rule's stepsize as it is.  The exact squared 2-norms g'g
 at every traced iterate are supplied via ``gnorm_sq``: uncsolver traces
 store the infinity norm, and squaring a traced 2-norm back is one ulp
 off, which near-degenerate histories turn into a different Degenerate
@@ -33,15 +33,8 @@ from qtgrad.termination3d import GradientHistory, alpha_new_bb
 SHORT_BRANCHES = ("short_new", "short_bbq", "short_bb2", "short_bb2only")
 
 
-def _clip(alpha, clamp):
-    if clamp is None:
-        return alpha
-    lo, hi = clamp
-    return min(max(alpha, lo), hi)
-
-
 def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
-                    rule="quad", clamp=None, *, gnorm_sq):
+                    rule="quad", *, gnorm_sq):
     """Expected (branch, stepsize, tau) triples, one per trace row.
 
     ``rows`` are TraceRecord-likes carrying k, stepsize, branch, bb1, bb2
@@ -66,14 +59,14 @@ def replay_branches(rows, g1_sq, tau1, gamma, use_new_step=True,
                 label = "fallback" if rule == "quad" else "nocurv"
                 out.append((label, None, tau))
             elif row.k < 5:
-                out.append(("bb1", _clip(cur_bb1, clamp), tau))
+                out.append(("bb1", cur_bb1, tau))
             elif math.isfinite(cur_bb2) and cur_bb2 / cur_bb1 < tau:
                 branch, alpha = _short_step(hist, use_new_step)
                 tau /= gamma
-                out.append((branch, _clip(alpha, clamp), tau))
+                out.append((branch, alpha, tau))
             else:
                 tau *= gamma
-                out.append(("bb1", _clip(cur_bb1, clamp), tau))
+                out.append(("bb1", cur_bb1, tau))
         hist.set_stepsize(row.stepsize)
         hist.push(gnorm_sq[i], row.bb1, row.bb2)
     return out

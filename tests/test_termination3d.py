@@ -102,6 +102,13 @@ def test_hmatrix_validation():
         HMatrix(nan)
 
 
+def test_hmatrix_symmetry_test_is_relative():
+    # the atol was floored at 1e-12, so at entries of 1e-13 a lower
+    # triangle of 5e-13 passed as symmetric
+    with pytest.raises(ValueError):
+        HMatrix([[1e-13, 0.0, 0.0], [5e-13, 1e-13, 0.0], [0.0, 0.0, 1e-13]])
+
+
 def test_hmatrix_caches_invariants():
     m = np.diag([1.0, 2.0, 4.0])
     h = HMatrix(m)
@@ -141,6 +148,28 @@ def test_cubic_matches_eigensolvers(seed):
         root = largest_root_cubic(HMatrix(A)).largest_root
         assert root == pytest.approx(lapack_largest_eig(A), rel=1e-11)
         assert root == pytest.approx(bisect_largest_eig(A), rel=1e-11)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cubic_is_scale_free_over_the_float_range():
+    # at 1e-103 to 1e-150 and 1e102 to 1e200 a float ** raised
+    # OverflowError, from 1e150 with overflow warnings from HMatrix; at
+    # 1e-200 and below tr(H^2) underflowed to 0 and every root was wrong
+    rng = np.random.default_rng(21)
+    mats = [random_symmetric(rng, 3) for _ in range(200)]
+    for scale in (1e-300, 1e-250, 1e-200, 1e-150, 1e-103, 1e-50, 1e-12,
+                  1.0, 1e8, 1e50, 1e102, 1e150, 1e200):
+        for m in mats:
+            a = m * scale
+            root = largest_root_cubic(HMatrix(a)).largest_root
+            assert root == pytest.approx(lapack_largest_eig(a), rel=1e-11)
+    for a, top in ((np.diag([1.0, 2.0, 3.0]) * 1e-200, 3e-200),
+                   (np.diag([1e103, 1.0, 1.0]), 1e103)):
+        root = largest_root_cubic(HMatrix(a)).largest_root
+        assert root == pytest.approx(top, rel=1e-15)
+    # the root 4.5e308 leaves the float range
+    with pytest.raises(Degenerate):
+        largest_root_cubic(HMatrix(np.full((3, 3), 1.5e308)))
 
 
 def test_cubic_indefinite_input():

@@ -308,23 +308,51 @@ def test_far_starts_end_with_a_status(monkeypatch, scale):
             assert rep.status in statuses, (f.name, use_new)
 
 
-def test_trial_stepsizes_are_clamped(monkeypatch):
-    seen = []
-    real = unc._search
+def _scaled(f, cf, cx):
+    """f in other units: values times cf, x times cx, x0 moved alike."""
+    value, gradient = f.value, f.gradient
+    return ObjectiveFn(f.name, lambda z: cf * value(z / cx),
+                       lambda z: (cf / cx) * gradient(z / cx), cx * f.x0)
 
-    def spy(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks,
-            **kwargs):
-        seen.append(alpha0)
-        return real(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks,
-                    **kwargs)
 
-    monkeypatch.setattr(unc, "_search", spy)
-    monkeypatch.setattr(unc, "ALPHA_MIN", 1e-3)
-    monkeypatch.setattr(unc, "ALPHA_MAX", 2.0)
-    monkeypatch.setattr(unc, "MAX_ITER", 2000)
-    solve(testfuns.rosenbrock2())
-    assert seen
-    assert all(1e-3 <= a <= 2.0 for a in seen)
+@pytest.mark.parametrize("cf, cx", [(1e-8, 1.0), (1e8, 1.0), (1.0, 1e-4),
+                                    (1.0, 1e4)])
+def test_scaled_suite_is_solved(monkeypatch, cf, cx):
+    # the same 22 problems in other units, eps_inf scaled like ||g||_inf;
+    # the clamp into [1e-10, 1e6] left 2 to 4 of them at maxiter
+    monkeypatch.setattr(unc, "MAX_ITER", 20000)
+    for f in testfuns.builtin_suite():
+        for use_new in (True, False):
+            cfg = UncSolverConfig(eps_inf=1e-6 * cf / cx, use_new_step=use_new)
+            rep = solve(_scaled(f, cf, cx), cfg=cfg)
+            assert rep.status == STATUS_OK, (f.name, use_new, rep.status)
+
+
+@pytest.mark.parametrize("name, iters", [
+    ("rosenbrock2", (61, 71)), ("rosenbrock_ext", (61, 71)),
+    ("wood", (539, 348))])
+def test_far_start_is_solved(name, iters):
+    # from 1e8 x0 these ran to maxiter after 200,000 iterations while the
+    # clamp held every trial at or above 1e-10
+    f = getattr(testfuns, name)()
+    for use_new, expect in zip((True, False), iters):
+        rep = solve(f, 1e8 * f.x0, UncSolverConfig(use_new_step=use_new))
+        assert (rep.status, rep.iterations) == (STATUS_OK, expect)
+
+
+def test_nocurv_restart_at_the_origin_is_a_step(monkeypatch):
+    # f = 2x from 1 lands on x = 0 with s'y = 0; min(1, ||x||_inf)/||g||_inf
+    # is 0 there, and the run took 0-length steps to maxiter
+    monkeypatch.setattr(unc, "MAX_ITER", 20)
+    f = ObjectiveFn("line", lambda x: float(2.0 * x[0]),
+                    lambda x: np.array([2.0]), np.array([1.0]))
+    rep = solve(f, cfg=UncSolverConfig(keep_trace=True))
+    assert rep.status == STATUS_MAXITER
+    nocurv = [row.stepsize for row in rep.trace if row.branch == "nocurv"]
+    assert len(nocurv) == 19
+    assert nocurv[0] == 0.5
+    assert all(a > 0.0 for a in nocurv)
+    assert rep.final_f < -30.0
 
 
 def test_config_rejects_bad_knobs():
@@ -367,7 +395,6 @@ def test_alg1_branches_match_quadratic_rule(use_new):
     gg_rows = _exact_gnorm_sq_along(f, f.x0, rep.trace)
     expect = replay_branches(rep.trace, float(g1 @ g1), cfg.tau1, cfg.gamma,
                              use_new_step=use_new, rule="unc",
-                             clamp=(unc.ALPHA_MIN, unc.ALPHA_MAX),
                              gnorm_sq=gg_rows)
     assert len(expect) == len(rep.trace)
     for i, (row, (branch, alpha, tau)) in enumerate(zip(rep.trace, expect)):
