@@ -43,9 +43,6 @@ _P_TOL = 1e-12
 # Bisection budget and relative stopping width of largest_root_quartic.
 _QUARTIC_STEPS = 200
 _QUARTIC_RTOL = 1e-13
-# largest_root_cubic solves H unscaled while its largest entry's binary
-# exponent e has |e| <= _SCALE_EXP, about 1e-10 to 4e9.
-_SCALE_EXP = 32
 # Bound of the chained finiteness guards: -_INF < x < _INF fails on nan
 # and on either infinity.
 _INF = math.inf
@@ -69,8 +66,9 @@ class HMatrix:
     """Symmetric 3x3 matrix with its spectral invariants cached.
 
     ``trace_sq`` is tr(H^2); it is computed once at construction with the
-    trace and the determinant, the three numbers the cubic solver reads
-    unless it scales H.  Each is inf or 0 where it leaves the float range.
+    trace and the determinant, for inspection: the cubic solver reads the
+    invariants of H / 2^e instead.  Each is inf or 0 where it leaves the
+    float range.
     """
 
     entries: np.ndarray
@@ -235,27 +233,34 @@ def _largest_root(tr: float, tr2: float, det: float):
     return p, q, theta, root
 
 
+def _unit_scaled(a: np.ndarray):
+    """(a / 2^e, e) for a's largest |entry| f 2^e, f in [1/2, 1); e = 0 at 0.
+
+    The one scale rule of the small eigenproblems.  With the root times
+    2^e it is exact while nothing goes subnormal: c A gives c times the
+    root at every float scale, and no invariant overflows or underflows.
+    """
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -e), e
+
+
+def _scaled_back(root: float, e: int) -> float:
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        raise Degenerate(f"largest root {root} * 2^{e} overflows") from None
+
+
 def largest_root_cubic(h: HMatrix) -> CubicSolve:
     """Largest eigenvalue of a symmetric 3x3 via the trigonometric form.
 
-    With H's largest entry f 2^e, f in [1/2, 1), H is solved as given
-    while |e| <= _SCALE_EXP, and beyond that as H / 2^e, the root then
-    times 2^e.  Both scalings are exact while no entry or root goes
-    subnormal, so c H gives c times the root at every float scale, and
-    the cubic's invariants and powers neither overflow nor underflow.
-    The window keeps the bits numpy's det, exp(log |det|), gives
-    unscaled.  p, q and theta are those of the matrix solved.  Raises
-    Degenerate when the solve fails, or the root is not positive or
-    leaves the float range.
+    Solves H / 2^e (:func:`_unit_scaled`); p, q and theta are its own.
+    Raises Degenerate when the solve fails, or the root is not positive
+    or leaves the float range.
     """
-    e = math.frexp(float(np.abs(h.entries).max()))[1]
-    if abs(e) <= _SCALE_EXP:
-        return CubicSolve(*_largest_root(h.trace, h.trace_sq, h.det))
-    p, q, theta, root = _largest_root(*_invariants(np.ldexp(h.entries, -e)))
-    try:
-        return CubicSolve(p, q, theta, math.ldexp(root, e))
-    except OverflowError:
-        raise Degenerate(f"largest root {root} * 2^{e} overflows") from None
+    b, e = _unit_scaled(h.entries)
+    p, q, theta, root = _largest_root(*_invariants(b))
+    return CubicSolve(p, q, theta, _scaled_back(root, e))
 
 
 def largest_root_quartic(entries) -> float:
@@ -263,19 +268,20 @@ def largest_root_quartic(entries) -> float:
 
     No solver calls this; it is the 4x4 counterpart of
     :func:`largest_root_cubic` for outside input.  Works on the
-    characteristic polynomial chi written through tr A, tr(A^2), tr(A^3)
-    and det A.  The predicate "chi and its first three derivatives are
-    all nonnegative at z" holds exactly for z >= lambda_max and nowhere
-    below it, and stays sharp at multiple eigenvalues because whichever
-    derivative has a simple root there flips sign cleanly.  Bisection
-    therefore needs no eigen-decomposition and no polishing.
+    characteristic polynomial chi of A / 2^e (:func:`_unit_scaled`),
+    written through its trace, tr(A^2), tr(A^3) and det, so the stopping
+    width is relative to A's largest entry.  The predicate "chi and its
+    first three derivatives are all nonnegative at z" holds exactly for
+    z >= lambda_max and nowhere below it, and stays sharp at multiple
+    eigenvalues because whichever derivative has a simple root there
+    flips sign cleanly.  Bisection therefore needs no eigen-decomposition
+    and no polishing.  Raises Degenerate where the root overflows.
     """
-    a = _symmetric(entries, 4)
+    a, scale_exp = _unit_scaled(_symmetric(entries, 4))
     sq = a @ a
-    tr, tr2, tr3 = float(np.trace(a)), float(np.trace(sq)), float(np.trace(sq @ a))
-    e1 = tr
-    e2 = (tr * tr - tr2) / 2.0
-    e3 = (tr**3 + 2.0 * tr3 - 3.0 * tr * tr2) / 6.0
+    e1, tr2, tr3 = float(np.trace(a)), float(np.trace(sq)), float(np.trace(sq @ a))
+    e2 = (e1 * e1 - tr2) / 2.0
+    e3 = (e1**3 + 2.0 * tr3 - 3.0 * e1 * tr2) / 6.0
     e4 = float(np.linalg.det(a))
 
     def at_or_above(z: float) -> bool:
@@ -290,24 +296,20 @@ def largest_root_quartic(entries) -> float:
     lo = float(np.min(diag - radii))
     hi = float(np.max(diag + radii))
     if at_or_above(lo):
-        return lo
-    if hi <= lo:
-        return hi
-    if not at_or_above(hi):
+        hi = lo
+    elif lo < hi and not at_or_above(hi):
         hi += _QUARTIC_RTOL * max(1.0, abs(hi))
         if not at_or_above(hi):
             raise NumericalFailure("Gershgorin bound fails the root predicate")
-    steps = 0
-    while hi - lo > _QUARTIC_RTOL * max(1.0, abs(hi)):
-        steps += 1
-        if steps > _QUARTIC_STEPS:
-            raise NumericalFailure("quartic bisection did not converge")
+    for _ in range(_QUARTIC_STEPS + 1):
+        if not hi - lo > _QUARTIC_RTOL * max(1.0, abs(hi)):
+            return _scaled_back(hi, scale_exp)
         mid = 0.5 * (lo + hi)
         if at_or_above(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    raise NumericalFailure("quartic bisection did not converge")
 
 
 def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,

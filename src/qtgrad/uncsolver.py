@@ -182,11 +182,11 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     (:func:`qtgrad.termination3d.next_stepsize`): ratio test against tau,
     short steps from the three-point recurrence when the last three pairs
     all have positive curvature, the BBQ step when only two do, bare BB2
-    otherwise, with tau shrunk or grown by gamma.  The first trial is
-    ||x||_inf / ||g||_inf; when the newest pair has s'y <= 0 the trial
-    resets to min(1, ||x||_inf) / ||g||_inf.  Both are 1 / ||g||_inf at
-    x = 0.  No trial is clamped, so f times c gives every trial divided
-    by c.  Stops at
+    otherwise, with tau shrunk or grown by gamma.  The first trial, and
+    the restart after a pair with s'y <= 0 (``nocurv``), is
+    ||x||_inf / ||g||_inf, or 1 / ||g||_inf at x = 0.  No trial is
+    clamped and none has an absolute length, so f times c gives every
+    trial divided by c, and x times c every trial times c^2.  Stops at
     ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
     aborts with its diagnostic, and so does a g'g that underflows to 0
     while ||g||_inf > eps_inf, which leaves -g no descent to search.  A
@@ -238,13 +238,14 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     eps_inf = cfg.eps_inf
     if ginf <= eps_inf:
         return finish(STATUS_OK)
-    xinf = _norm_inf(x)
-    alpha = (xinf / ginf) if xinf > 0.0 else (1.0 / ginf)
-    branch = "init"
+    alpha, branch = None, "init"
     tau, gamma, use_new_step = cfg.tau1, cfg.gamma, cfg.use_new_step
     trace = rep.trace if cfg.keep_trace else None
 
     while True:
+        if alpha is None:
+            xinf = _norm_inf(x)
+            alpha = (xinf if xinf > 0.0 else 1.0) / ginf
         try:
             lam, used, x_new, f_new = _search(
                 value, x, g, None, alpha, ref.f_r, DELTA, ETA, MAX_BACKTRACKS,
@@ -297,6 +298,3 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
 
         alpha, branch, tau = next_stepsize(hist, it + 1, tau, gamma,
                                            use_new_step)
-        if alpha is None:
-            xinf = _norm_inf(x)
-            alpha = min(1.0, xinf) / ginf if xinf > 0.0 else 1.0 / ginf

@@ -197,12 +197,18 @@ def test_cubic_near_double_eigenvalue():
     assert root == pytest.approx(4.0 + 1e-9, rel=1e-7)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_quartic_matches_eigensolvers(seed):
+# ids: the seed alone at scale 1, seed-scale elsewhere
+@pytest.mark.parametrize("seed, scale", [
+    pytest.param(seed, scale, id=f"{seed}" if scale == 1.0 else f"{seed}-{scale:g}")
+    for scale in (1e-300, 1e-10, 1.0, 1e200, 1e300) for seed in range(30)])
+def test_quartic_matches_eigensolvers(seed, scale):
+    # a stopping width with an absolute floor of 1 stopped early below 1,
+    # and chi overflowed and the solver raised above about 1e77; abs=0
+    # keeps approx's absolute 1e-12 from passing the small scales
     rng = np.random.default_rng(1000 + seed)
-    A = random_symmetric(rng, 4)
+    A = random_symmetric(rng, 4) * scale
     root = largest_root_quartic(A)
-    assert root == pytest.approx(lapack_largest_eig(A), rel=1e-10)
+    assert root == pytest.approx(lapack_largest_eig(A), rel=1e-10, abs=0.0)
 
 
 # An m-fold largest eigenvalue shifts the characteristic-polynomial root

@@ -3,8 +3,10 @@
 ``_search`` with ``d=None`` must give exactly what the explicit d = -g
 gives, and ``solve`` must reproduce the frozen runs below.  The frozen
 values were recorded from the solver as it was before its loop stopped
-forming -g; any change to the iteration's arithmetic shows up here as a
-changed count or a changed last bit of ``final_f`` or ``final_gnorm``.
+forming -g; the ten runs that restart after a nocurv pair at
+||x||_inf > 1 were recorded again when that restart lost its cap of 1
+on ||x||_inf.  Any change to the iteration's arithmetic shows up here as
+a changed count or a changed last bit of ``final_f`` or ``final_gnorm``.
 """
 
 import math
@@ -129,14 +131,14 @@ FROZEN = {
     ("sphere", "default", "alg1-bbq"): (1, 2, 2, "0x0.0p+0", "0x0.0p+0"),
     ("sphere", "perturbed", "alg1"): (1, 2, 2, "0x0.0p+0", "0x0.0p+0"),
     ("sphere", "perturbed", "alg1-bbq"): (1, 2, 2, "0x0.0p+0", "0x0.0p+0"),
-    ("rosenbrock2", "default", "alg1"): (57, 61, 58, "0x1.99109d9e50000p-70", "0x1.a4e9bfff8b784p-34"),
-    ("rosenbrock2", "default", "alg1-bbq"): (53, 56, 54, "0x1.1f9bbb3055812p-49", "0x1.3085080000000p-25"),
+    ("rosenbrock2", "default", "alg1"): (57, 61, 58, "0x1.b0b5187a80000p-71", "0x1.4064ffffc0c4cp-34"),
+    ("rosenbrock2", "default", "alg1-bbq"): (55, 58, 56, "0x1.5f7dcd665d8b2p-48", "0x1.dc33b70000000p-25"),
     ("rosenbrock2", "perturbed", "alg1"): (58, 68, 59, "0x1.21ade7a5abd40p-58", "0x1.54a8cc4036807p-24"),
     ("rosenbrock2", "perturbed", "alg1-bbq"): (56, 68, 57, "0x1.bf937c8194000p-63", "0x1.2b7fd100103fap-26"),
-    ("rosenbrock_ext", "default", "alg1"): (57, 61, 58, "0x1.3f9af17e50000p-64", "0x1.a518ffff8b6f8p-34"),
-    ("rosenbrock_ext", "default", "alg1-bbq"): (53, 56, 54, "0x1.c1636e84bae19p-44", "0x1.3085080000000p-25"),
-    ("rosenbrock_ext", "perturbed", "alg1"): (138, 148, 139, "0x1.031e6e6ae3fd6p-48", "0x1.6a0879a7df818p-22"),
-    ("rosenbrock_ext", "perturbed", "alg1-bbq"): (133, 145, 134, "0x1.5bc44a11d9d80p-56", "0x1.a6721080253cep-26"),
+    ("rosenbrock_ext", "default", "alg1"): (57, 61, 58, "0x1.520bec2201000p-65", "0x1.40333fffc0caap-34"),
+    ("rosenbrock_ext", "default", "alg1-bbq"): (55, 58, 56, "0x1.129a08302c084p-42", "0x1.dc336c0000000p-25"),
+    ("rosenbrock_ext", "perturbed", "alg1"): (207, 238, 208, "0x1.05f3f4cbd95d0p-57", "0x1.7c36ab8021952p-25"),
+    ("rosenbrock_ext", "perturbed", "alg1-bbq"): (112, 117, 113, "0x1.663c076bbb548p-46", "0x1.a90149c954288p-22"),
     ("powell_singular", "default", "alg1"): (135, 140, 136, "0x1.5d1a9ce6208cfp-30", "0x1.d054b2ddf91b1p-21"),
     ("powell_singular", "default", "alg1-bbq"): (125, 135, 126, "0x1.d8e8c508f8e22p-32", "0x1.36f1b599f970ep-21"),
     ("powell_singular", "perturbed", "alg1"): (187, 214, 188, "0x1.f0ef33b69a4f2p-30", "0x1.6f57b1312c068p-21"),
@@ -150,9 +152,9 @@ FROZEN = {
     ("helical_valley", "perturbed", "alg1"): (48, 50, 49, "0x1.3798afcdc3a79p-59", "0x1.1e05e9d0221e1p-29"),
     ("helical_valley", "perturbed", "alg1-bbq"): (44, 46, 45, "0x1.568255ac894dap-55", "0x1.2be020db20585p-27"),
     ("wood", "default", "alg1"): (166, 173, 167, "0x1.b059f457f4000p-52", "0x1.29a26084a329ap-23"),
-    ("wood", "default", "alg1-bbq"): (213, 232, 214, "0x1.08621f74ee067p-54", "0x1.8b76861cccccdp-25"),
+    ("wood", "default", "alg1-bbq"): (205, 227, 206, "0x1.c1f0468f08ba0p-56", "0x1.61f521a083273p-23"),
     ("wood", "perturbed", "alg1"): (234, 249, 235, "0x1.f6ac907f45b32p-65", "0x1.22532b7fe60f9p-27"),
-    ("wood", "perturbed", "alg1-bbq"): (244, 254, 245, "0x1.547c7c6f88050p-53", "0x1.810911d48b23fp-22"),
+    ("wood", "perturbed", "alg1-bbq"): (192, 206, 193, "0x1.8850e5dcd38eap-51", "0x1.74962e4f4ce1ep-21"),
     ("trigonometric", "default", "alg1"): (61, 63, 62, "0x1.d4eec078d14c9p-16", "0x1.8d7564e180c00p-21"),
     ("trigonometric", "default", "alg1-bbq"): (65, 67, 66, "0x1.d4eec19870d56p-16", "0x1.5da9599cce600p-21"),
     ("trigonometric", "perturbed", "alg1"): (93, 96, 94, "0x1.61e27a0d1bcddp-15", "0x1.f13527e264800p-21"),
@@ -163,8 +165,8 @@ FROZEN = {
     ("broyden_tridiagonal", "perturbed", "alg1-bbq"): (38, 40, 39, "0x1.019bc1e3ffebdp-46", "0x1.bc5460f764928p-22"),
     ("dixon_price", "default", "alg1"): (72, 75, 73, "0x1.55555555555b7p-1", "0x1.50b6d54849f8ep-22"),
     ("dixon_price", "default", "alg1-bbq"): (72, 75, 73, "0x1.5555555555558p-1", "0x1.3a055d4fabdf7p-24"),
-    ("dixon_price", "perturbed", "alg1"): (95, 97, 96, "0x1.61bc9152c110ep-45", "0x1.3ba4e2641c0e6p-21"),
-    ("dixon_price", "perturbed", "alg1-bbq"): (94, 98, 95, "0x1.5555555555580p-1", "0x1.be2a644c8f608p-23"),
+    ("dixon_price", "perturbed", "alg1"): (116, 118, 117, "0x1.5555555555903p-1", "0x1.30111bc47af02p-21"),
+    ("dixon_price", "perturbed", "alg1-bbq"): (81, 83, 82, "0x1.55555555556abp-1", "0x1.0390965aac61cp-20"),
     ("illcond_quadratic", "default", "alg1"): (569, 612, 570, "0x1.adaa80645abf6p-44", "0x1.f93ea7358ecf6p-21"),
     ("illcond_quadratic", "default", "alg1-bbq"): (1094, 1217, 1095, "0x1.4e9fe12832cbcp-47", "0x1.7b0bc99212cffp-21"),
     ("illcond_quadratic", "perturbed", "alg1"): (595, 636, 596, "0x1.0257bdb561a48p-45", "0x1.648ad60000000p-22"),
