@@ -14,8 +14,10 @@ directory:
 * a traced grid, ``quadbench --set 1,4 --n 100 --kappa 1e4 --eps 1e-6
   --methods bb,new,bbq --seeds 3 --trace``;
 * the solver's blocked path above ``kernels.BLOCK``, ``quadbench --set 1
-  --n 40000 --kappa 1e2 --eps 1e-6 --methods bb,new --seeds 2 --trace``,
-  whose trace holds every stepsize and objective value of those runs;
+  --n 100000 --kappa 1e2 --eps 1e-6 --methods bb,new --seeds 2 --trace``,
+  whose trace holds every stepsize and objective value of those runs:
+  four blocks, the last one partial, so steps in both block orders pass
+  through interior blocks;
 * ``uncbench --methods alg1,alg1-bbq --eps 1e-6 --trace``;
 * ``verify3d --kappa 1.5,2,100,1e4,1e8,1e300 --seeds 10 --trace``: at
   kappa 2 every special-step method degenerates at k = 3 in
@@ -53,7 +55,7 @@ RUNS = (
     ("traced", ["quadbench", "--set", "1,4", "--n", "100", "--kappa", "1e4",
                 "--eps", "1e-6", "--methods", "bb,new,bbq", "--seeds", "3",
                 "--trace"]),
-    ("blocked", ["quadbench", "--set", "1", "--n", "40000", "--kappa", "1e2",
+    ("blocked", ["quadbench", "--set", "1", "--n", "100000", "--kappa", "1e2",
                  "--eps", "1e-6", "--methods", "bb,new", "--seeds", "2",
                  "--trace"]),
     ("unc", ["uncbench", "--methods", "alg1,alg1-bbq", "--eps", "1e-6",

@@ -1,19 +1,26 @@
 """The vector kernel of the quadratic solver's inner loop, in numpy.
 
 :func:`quad_step` writes its vector results into arrays the caller
-passes and returns scalars.  It allocates nothing: besides x and the
-gradient g it needs two scratch vectors of min(n, ``BLOCK``) elements,
-the spare and ``y``, which the solver allocates once per run.
+passes and returns scalars.  It allocates nothing: besides x it needs
+the gradient g, a spare of n elements that receives the new gradient,
+and scratch ``y`` of min(n, ``BLOCK``) elements.  :func:`gradient_windows`
+gives g and the spare as two windows of one buffer of n + min(n,
+``BLOCK``) elements (rounded up to a cache line), so a run holds x, that
+buffer and y.
 
 Above ``BLOCK`` elements :func:`quad_step` works block by block, so each
 block's passes run in L2 cache instead of streaming the whole vectors
-from memory once per pass, and refreshes g in place from a copy of each
-block in the spare.  x and the new gradient are elementwise the same as
-on the whole arrays; the three inner products are sums of per-block
-partial sums, so above ``BLOCK`` they are summed in a different order
-than a whole-array dot product and can differ from it in the last bits.
-Up to ``BLOCK`` elements the kernel runs once on the whole arrays, the
-same arithmetic bit for bit, and writes the new gradient into the spare.
+from memory once per pass.  The spare window lies ``BLOCK`` elements
+below or above g, so block i's new gradient lands where the previous
+block's old gradient was: the blocks run forward when the spare lies
+below g and backward when it lies above, and each block of g is read
+before it is overwritten, with no copy.  x and the new gradient are
+elementwise the same as on the whole arrays; the three inner products
+are sums of per-block partial sums, added in ascending block order in
+either direction, so above ``BLOCK`` they are summed in a different
+order than a whole-array dot product and can differ from it in the last
+bits.  Up to ``BLOCK`` elements the kernel runs once on the whole
+arrays, the same arithmetic bit for bit.
 
 At small n a step costs numpy call dispatch, not flops, so ``alpha``
 may be a 0-d float64 array, which numpy multiplies by at less dispatch
@@ -22,11 +29,13 @@ cost than a Python float; the product is the same.
 The vectors a step writes (x, g, the spare and y) should start on a
 cache-line boundary of ``ALIGN`` = 64 bytes, which :func:`aligned_empty`
 guarantees; ``BLOCK`` is a multiple of eight elements, so every block of
-an aligned vector starts on a line too.  numpy's AVX-512 loops store 64
-bytes per instruction, and a store off a line boundary splits across two
-lines and costs about twice as much: on a 2-vCPU AVX-512 Xeon an
-L2-resident ``np.subtract(x, xs, out)`` at n = ``BLOCK`` took 18.6-24.3
-us with ``out`` 8 to 56 bytes past a line and 10.7 us with it on one.
+an aligned vector starts on a line too, and :func:`gradient_windows`
+offsets its two windows by a whole number of lines.  numpy's AVX-512
+loops store 64 bytes per instruction, and a store off a line boundary
+splits across two lines and costs about twice as much: on a 2-vCPU
+AVX-512 Xeon an L2-resident ``np.subtract(x, xs, out)`` at n = ``BLOCK``
+took 18.6-24.3 us with ``out`` 8 to 56 bytes past a line and 10.7 us
+with it on one.
 ``np.empty`` places a vector wherever the heap's history leaves it, so
 the aligned allocation removes that factor from the step time.  The
 arrays a step only reads (``v``, ``xstar``) are left as they are: at
@@ -60,6 +69,17 @@ def aligned_empty(n):
     return buf[lo:lo + n]
 
 
+def gradient_windows(n):
+    """(g, spare) for :func:`quad_step`: two windows of n elements of one
+    aligned buffer, the spare min(n, ``BLOCK``) elements above g, rounded
+    up to a whole cache line so that both start on one.
+    """
+    line = ALIGN // 8
+    offset = -(-min(n, BLOCK) // line) * line
+    buf = aligned_empty(n + offset)
+    return buf[:n], buf[offset:]
+
+
 def _step_block(v, xstar, x, g_old, g_new, alpha, y):
     # out passed positionally: a keyword costs more to parse per call
     np.multiply(g_old, alpha, y)
@@ -73,13 +93,15 @@ def _step_block(v, xstar, x, g_old, g_new, alpha, y):
 
 
 def quad_step(v, xstar, x, g, spare, alpha, y):
-    """Advance x by -alpha * g and refresh the gradient.
+    """Advance x by -alpha * g and write the new gradient into ``spare``.
 
-    Returns (g'y, y'y, g_new'g_new, g_new, spare_new), g as on entry and
-    y = g_new - g.  Up to ``BLOCK`` elements g_new is written into
-    ``spare``, of n elements, and the pair is (spare, g); above it g is
-    refreshed in place and the pair is (g, spare), whose first ``BLOCK``
-    elements serve as scratch.  The caller derives s's and s'y from alpha
+    Returns (g'y, y'y, g_new'g_new, spare, g) with g as on entry, g_new
+    the new gradient now in ``spare`` and y = g_new - g, so the caller's
+    g is the next call's spare.  ``spare`` has n elements and either does
+    not overlap g or is a window min(n, ``BLOCK``) or more elements below
+    or above it, as :func:`gradient_windows` places it; above ``BLOCK``
+    the blocks run in the order that reads each block of g before the
+    spare's writes reach it.  The caller derives s's and s'y from alpha
     and ||g||^2, which it already has from the previous call.  ``alpha``
     is a float or a 0-d float64 array; the gradient is
     ``(x - xstar) * v``.  ``y`` is scratch space of min(n, BLOCK)
@@ -88,16 +110,19 @@ def quad_step(v, xstar, x, g, spare, alpha, y):
     n = x.shape[0]
     if n <= BLOCK:
         return _step_block(v, xstar, x, g, spare, alpha, y)
-    gy = yy = gg = 0.0
-    for lo in range(0, n, BLOCK):
+    starts = range(0, n, BLOCK)
+    # block i's new gradient goes where the block run before it was read
+    backward = spare.ctypes.data > g.ctypes.data
+    parts = []
+    for lo in reversed(starts) if backward else starts:
         hi = min(lo + BLOCK, n)
-        old = spare[:hi - lo]
-        np.copyto(old, g[lo:hi])
-        b_gy, b_yy, b_gg, _, _ = _step_block(
-            v[lo:hi], xstar[lo:hi], x[lo:hi], old, g[lo:hi],
-            alpha, y[:hi - lo])
+        parts.append(_step_block(v[lo:hi], xstar[lo:hi], x[lo:hi], g[lo:hi],
+                                 spare[lo:hi], alpha, y[:hi - lo]))
+    if backward:
+        parts.reverse()
+    gy = yy = gg = 0.0
+    for b_gy, b_yy, b_gg, _, _ in parts:   # ascending block order
         gy += b_gy
         yy += b_yy
         gg += b_gg
-    return gy, yy, gg, g, spare
-
+    return gy, yy, gg, spare, g

@@ -13,15 +13,17 @@ Three entry points:
 The per-iteration vector work is one :func:`qtgrad.kernels.quad_step`
 call, which moves x, refreshes the gradient and returns the three inner
 products the stepsize rule needs; everything else in the loop is scalar
-arithmetic on earlier stepsizes and gradient norms.  A run holds two
-n-vectors, x and g, and the kernel's two scratch vectors of min(n,
-``kernels.BLOCK``) elements, the spare and y; the kernel returns which
-of g and the spare holds the new gradient.  The SD step's H g is put in
-x until the start is copied back, and the final value 1/2 (x - x*)'g is
-taken in x's own storage.  All four vectors come from
-``kernels.aligned_empty`` so that the kernel's stores start on cache
-lines: a misaligned store costs about twice an aligned one, and where
-plain ``np.empty`` puts a vector depends on heap history.  The
+arithmetic on earlier stepsizes and gradient norms.  A run holds x,
+one buffer of n + min(n, ``kernels.BLOCK``) elements whose two windows
+(``kernels.gradient_windows``) are g and the spare the kernel writes the
+new gradient into, and the kernel's scratch y of min(n,
+``kernels.BLOCK``) elements; each step returns the pair swapped, so the
+old g becomes the next spare.  The SD step's H g is put in x until the
+start is copied back, and the final value 1/2 (x - x*)'g is taken in
+x's own storage.  Every vector comes from ``kernels.aligned_empty`` so
+that the kernel's stores start on cache lines: a misaligned store costs
+about twice an aligned one, and where plain ``np.empty`` puts a vector
+depends on heap history.  The
 problem's spectrum and x* are only read and stay where they are, since
 misaligning them measured no difference.  A 0-d array a0 carries each
 stepsize into the kernel at less dispatch cost than a Python float.
@@ -106,8 +108,7 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     n = x0.shape[0]
     x = kernels.aligned_empty(n)
     x[:] = x0
-    g = kernels.aligned_empty(n)
-    spare = kernels.aligned_empty(min(n, kernels.BLOCK))
+    g, spare = kernels.gradient_windows(n)
     y = kernels.aligned_empty(min(n, kernels.BLOCK))
     gg = float(quadprob.gradient(p, x, g).dot(g))
     a0 = np.empty(())   # the stepsize as the kernel takes it

@@ -27,7 +27,9 @@ solver takes a four-dimensional step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +48,8 @@ _QUARTIC_RTOL = 1e-13
 # Bound of the chained finiteness guards: -_INF < x < _INF fails on nan
 # and on either infinity.
 _INF = math.inf
+# Smallest normal float: a term of g_r or g_ar below it has lost bits.
+_TINY = sys.float_info.min
 
 
 def _symmetric(entries, dim: int) -> np.ndarray:
@@ -63,26 +67,32 @@ def _symmetric(entries, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HMatrix:
-    """Symmetric 3x3 matrix with its spectral invariants cached.
+    """Symmetric 3x3 matrix whose spectral invariants are read on demand.
 
-    ``trace_sq`` is tr(H^2); it is computed once at construction with the
-    trace and the determinant, for inspection: the cubic solver reads the
+    ``trace``, ``trace_sq`` (tr(H^2)) and ``det`` are computed when first
+    read and then cached, for inspection: the cubic solver reads the
     invariants of H / 2^e instead.  Each is inf or 0 where it leaves the
     float range.
     """
 
     entries: np.ndarray
-    trace: float = field(init=False)
-    trace_sq: float = field(init=False)
-    det: float = field(init=False)
 
     def __post_init__(self):
-        a = _symmetric(self.entries, 3)
-        object.__setattr__(self, "entries", a)
-        tr, tr2, det = _invariants(a)
-        object.__setattr__(self, "trace", tr)
-        object.__setattr__(self, "trace_sq", tr2)
-        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "entries", _symmetric(self.entries, 3))
+
+    @cached_property
+    def trace(self) -> float:
+        return float(np.trace(self.entries))
+
+    @cached_property
+    @np.errstate(over="ignore")
+    def trace_sq(self) -> float:
+        return float(np.trace(self.entries @ self.entries))
+
+    @cached_property
+    @np.errstate(over="ignore")
+    def det(self) -> float:
+        return float(np.linalg.det(self.entries))
 
 
 @np.errstate(over="ignore")
@@ -105,7 +115,8 @@ class RecurrenceScalars(NamedTuple):
 
     ``g_r`` and ``g_ar`` are the inner products g'r and g'(Ar) of the
     newest gradient with the third (unnormalized) Gram-Schmidt direction;
-    g_r must be positive for the matrix to exist.
+    g_r must be positive for the matrix to exist, and no term of either
+    may fall below the normal float range.
     """
 
     sigma: float
@@ -341,18 +352,29 @@ def _scalars(hist: GradientHistory):
         raise Degenerate(f"sigma = {sigma}")
     delta = (1.0 - 1.0 / zeta) / a3
     gamma = 1.0 - (a2 / (1.0 - sigma)) * (1.0 / b1 - sigma * delta)
-    g_r = n1 - (sigma * (1.0 - a2 * delta) ** 2
-                + gamma * gamma * (1.0 - sigma)) * n2
+    r_n2 = (sigma * (1.0 - a2 * delta) ** 2
+            + gamma * gamma * (1.0 - sigma)) * n2
+    g_r = n1 - r_n2
     lead = gamma - (1.0 - a2 * delta)
     varsigma = ((lead / b2 - gamma / a2) * (1.0 - a2 / b1)
                 - (lead / a3) * gamma * (1.0 - sigma))
-    g_ar = (1.0 / b0 + gamma / a2) * n1 + varsigma * n2
+    ar_n1 = (1.0 / b0 + gamma / a2) * n1
+    ar_n2 = varsigma * n2
+    g_ar = ar_n1 + ar_n2
     out = sigma, delta, zeta, gamma, varsigma, g_r, g_ar
     if not (-_INF < sigma < _INF and -_INF < delta < _INF
             and -_INF < zeta < _INF and -_INF < gamma < _INF
             and -_INF < varsigma < _INF and -_INF < g_r < _INF
             and -_INF < g_ar < _INF):
         raise Degenerate(f"nonfinite recurrence scalars: {out}")
+    # a term under the normal range has lost bits; g_r's scale as the
+    # Hessian's scale squared and g_ar's as its cube, so they go there
+    # first.  A sum of normal terms is exact where it is subnormal or 0.
+    if (n1 < _TINY or -_TINY < r_n2 < _TINY or -_TINY < ar_n1 < _TINY
+            or -_TINY < ar_n2 < _TINY):
+        raise Degenerate(f"g_r, g_ar = {g_r}, {g_ar}: terms "
+                         f"{n1}, {r_n2}, {ar_n1}, {ar_n2} under the normal "
+                         "range")
     return out
 
 
@@ -364,9 +386,14 @@ def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
     norms.  Raises Degenerate when any required scalar is missing (nan,
     also for a history of fewer than four iterates) or nonpositive, when
     zeta vanishes (consecutive gradients nearly orthogonal, so delta is
-    unbounded), or when sigma reaches 1 (consecutive gradients nearly
-    parallel).  An overflowing float ``**`` raises OverflowError, which
-    alpha_new_bb turns into Degenerate.
+    unbounded), when sigma reaches 1 (consecutive gradients nearly
+    parallel), or when a term of g_r or g_ar falls below the normal float
+    range (``sys.float_info.min``): g_r's terms scale with the square of
+    the Hessian's scale and g_ar's with its cube, so they go subnormal
+    first, and a subnormal term has lost the bits H is built from.  A
+    g_r or g_ar that is subnormal or 0 as the sum of normal terms is
+    exact, and is kept.  An overflowing float ``**`` raises
+    OverflowError, which alpha_new_bb turns into Degenerate.
     """
     return RecurrenceScalars._make(_scalars(hist))
 
@@ -418,9 +445,10 @@ def alpha_new_bb(hist: GradientHistory) -> float:
     """Three-dimensional quadratic-termination stepsize, recurrence route.
 
     Plain float arithmetic on a plain tuple of scalars.  Every failure
-    (short history, degenerate scalars, g_r <= 0, indefinite or ill-posed
-    H, a float ``**`` that overflows, as tr^3 does above |tr| ~ 5.6e102)
-    surfaces as Degenerate so callers have a single fallback path.
+    (short history, degenerate scalars or subnormal terms, g_r <= 0,
+    indefinite or ill-posed H, a float ``**`` that overflows, as tr^3
+    does above |tr| ~ 5.6e102) surfaces as Degenerate so callers have a
+    single fallback path.
     """
     try:
         entries = _recurrence_entries(_scalars(hist), hist)

@@ -74,6 +74,13 @@ def _whole_array_step(v, xs, x, g, alpha):
 BLOCK_SIZES = [kernels.BLOCK, kernels.BLOCK + 1, 2 * kernels.BLOCK + 7]
 
 
+def _windows_with(g):
+    """The solver's (g, spare): windows of one buffer, g filled in."""
+    g_w, spare = kernels.gradient_windows(g.shape[0])
+    g_w[:] = g
+    return g_w, spare
+
+
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 @pytest.mark.parametrize("n", [64] + BLOCK_SIZES)
 def test_blocked_step_matches_whole_array_formula(n, scale):
@@ -81,19 +88,17 @@ def test_blocked_step_matches_whole_array_formula(n, scale):
     v = scale * v
     alpha = 0.01
     x_ref, g_ref, dots_ref = _whole_array_step(v, xs, x, g, alpha)
-    # the solver's call: the stepsize as a 0-d array and a spare and y
-    # of min(n, BLOCK) elements, bitwise the same as a float stepsize
-    # with a spare and y of n elements at every n
-    m = min(n, kernels.BLOCK)
-    x_pre, g_in, spare = x.copy(), g.copy(), np.empty(m)
+    # the solver's call: the stepsize as a 0-d array, g and the spare as
+    # windows of one buffer and a y of min(n, BLOCK) elements, bitwise
+    # the same as a float stepsize with a spare and y of their own of n
+    # elements at every n
+    x_pre = x.copy()
+    g_in, spare = _windows_with(g)
     *dots_pre, g_pre, spare_pre = kernels.quad_step(
-        v, xs, x_pre, g_in, spare, np.array(alpha), np.empty(m))
-    # above BLOCK g is refreshed in place; up to it the new gradient
-    # goes into the spare and g becomes the spare
-    if n > kernels.BLOCK:
-        assert g_pre is g_in and spare_pre is spare
-    else:
-        assert g_pre is spare and spare_pre is g_in
+        v, xs, x_pre, g_in, spare, np.array(alpha),
+        np.empty(min(n, kernels.BLOCK)))
+    # the new gradient goes into the spare and g becomes the spare
+    assert g_pre is spare and spare_pre is g_in
     *dots, g_new, _ = kernels.quad_step(v, xs, x, g.copy(), np.empty_like(g),
                                         alpha, np.empty_like(g))
     np.testing.assert_array_equal(x_pre, x)
@@ -113,21 +118,68 @@ def test_step_with_scratch_matches_step_without(n, scale):
     # blocked path slices: the same step either way
     v, xs, x, g = _random_case(n, scale, n=n)
     v = scale * v
-    m = min(n, kernels.BLOCK)
     x_own = x.copy()
     *dots_own, g_own, _ = kernels.quad_step(v, xs, x_own, g.copy(),
-                                            np.empty(m), 0.01, np.empty(n))
-    y = np.empty(m)
-    g_in, spare = g.copy(), np.empty(m)
+                                            np.empty(n), 0.01, np.empty(n))
+    y = np.empty(min(n, kernels.BLOCK))
+    g_in, spare = _windows_with(g)
     *dots, g_new, spare_new = kernels.quad_step(v, xs, x, g_in, spare, 0.01,
                                                 y)
-    if n > kernels.BLOCK:
-        assert g_new is g_in and spare_new is spare
-    else:
-        assert g_new is spare and spare_new is g_in
+    assert g_new is spare and spare_new is g_in
     assert dots == dots_own
     np.testing.assert_array_equal(x, x_own)
     np.testing.assert_array_equal(g_new, g_own)
+
+
+def _per_block_step(v, xs, x, g, alpha):
+    """quad_step's arithmetic with fresh temporaries: x and g on the whole
+    arrays, each dot a sum of per-block dots added in ascending order."""
+    x_ref = x - alpha * g
+    g_ref = (x_ref - xs) * v
+    y_ref = g_ref - g
+    dots = [0.0, 0.0, 0.0]
+    for lo in range(0, x.shape[0], kernels.BLOCK):
+        b = slice(lo, lo + kernels.BLOCK)
+        dots[0] += float(g[b].dot(y_ref[b]))
+        dots[1] += float(y_ref[b].dot(y_ref[b]))
+        dots[2] += float(g_ref[b].dot(g_ref[b]))
+    return x_ref, g_ref, dots
+
+
+@pytest.mark.parametrize("n", [kernels.BLOCK + 1, 2 * kernels.BLOCK + 7,
+                               3 * kernels.BLOCK])
+def test_consecutive_steps_through_one_buffer(n):
+    # the first step writes into the window above g, so its blocks run
+    # backward; the second into the window below, so they run forward
+    v, xs, x, g = _random_case(n, 2.0, n=n)
+    g_w, spare = _windows_with(g)
+    y = kernels.aligned_empty(kernels.BLOCK)
+    x_ref, g_ref = x.copy(), g
+    for alpha, gap in ((0.01, kernels.BLOCK), (0.02, -kernels.BLOCK)):
+        assert spare.ctypes.data - g_w.ctypes.data == 8 * gap
+        x_ref, g_ref, dots_ref = _per_block_step(v, xs, x_ref, g_ref, alpha)
+        *dots, g_new, spare_new = kernels.quad_step(v, xs, x, g_w, spare,
+                                                    np.array(alpha), y)
+        assert g_new is spare and spare_new is g_w
+        assert dots == dots_ref
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(g_new, g_ref)
+        g_w, spare = g_new, spare_new
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 100, kernels.BLOCK,
+                               kernels.BLOCK + 1])
+def test_gradient_windows_share_one_aligned_buffer(n):
+    # the spare lies min(n, BLOCK) elements above g, rounded up to a
+    # cache line, so the two never overlap up to BLOCK
+    line = kernels.ALIGN // 8
+    g, spare = kernels.gradient_windows(n)
+    assert g.shape == spare.shape == (n,)
+    assert g.base is spare.base
+    assert g.ctypes.data % kernels.ALIGN == 0
+    assert spare.ctypes.data % kernels.ALIGN == 0
+    gap = (spare.ctypes.data - g.ctypes.data) // 8
+    assert gap == -(-min(n, kernels.BLOCK) // line) * line
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 100, kernels.BLOCK,
@@ -155,16 +207,16 @@ def _at_offset(a, offset):
 @pytest.mark.parametrize("n", [64, kernels.BLOCK + 1, 2 * kernels.BLOCK + 7])
 def test_step_is_bitwise_the_same_at_every_offset(n):
     # x, the spare and y at offset w and v, xstar and g at offset r, for
-    # every 8-byte w and r; g is only read up to BLOCK
+    # every 8-byte w and r
     v, xs, x, g = _random_case(n, 2.0, n=n)
     alpha = np.array(0.01)
-    m = min(n, kernels.BLOCK)
 
     def step_at(w, r):
         x_w = _at_offset(x, w)
         *dots, g_w, _ = kernels.quad_step(
             _at_offset(2.0 * v, r), _at_offset(xs, r), x_w, _at_offset(g, r),
-            _at_offset(np.empty(m), w), alpha, _at_offset(np.empty(m), w))
+            _at_offset(np.empty(n), w), alpha,
+            _at_offset(np.empty(min(n, kernels.BLOCK)), w))
         return dots, x_w, g_w
 
     dots_ref, x_ref, g_ref = step_at(0, 0)

@@ -437,7 +437,8 @@ def test_start_is_left_as_it_was(solver, n, index, big, status):
 
 @pytest.mark.parametrize("solver", [solve_bb, solve_new])
 def test_run_holds_two_vectors_of_n(monkeypatch, solver):
-    # x and g of n elements, the spare and y of BLOCK, and no H g product
+    # x of n elements, g and the spare as two windows of one buffer of
+    # n + BLOCK, y of BLOCK, and no H g product
     n = 2 * kernels.BLOCK + 7
     alloc, sizes = kernels.aligned_empty, []
     hess_vec, products = quadprob.hess_vec, []
@@ -455,7 +456,7 @@ def test_run_holds_two_vectors_of_n(monkeypatch, solver):
     p = generate(1, n, 1e2, seed=0)
     rep = solver(p, starting_point(p, 0), QuadSolverConfig(eps=1e-6))
     assert rep.status == STATUS_OK
-    assert sorted(sizes) == [kernels.BLOCK, kernels.BLOCK, n, n]
+    assert sorted(sizes) == [kernels.BLOCK, n, n + kernels.BLOCK]
     assert products == []
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_hmatrix_caches_invariants():
     assert h.trace == 7.0
     assert h.trace_sq == 21.0
     assert h.det == pytest.approx(8.0)
+
+
+def test_direct_route_takes_one_determinant(monkeypatch):
+    # HMatrix computes its invariants only when read, and the cubic
+    # solver reads those of H / 2^e
+    det, calls = np.linalg.det, []
+
+    def spy(a):
+        calls.append(a.shape)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    u, v, r = np.eye(3)
+    alpha = alpha_new_direct(u, v, r, lambda d: np.array([1.0, 2.0, 4.0]) * d)
+    assert alpha == pytest.approx(0.25, rel=1e-15)
+    assert calls == [(3, 3)]
 
 
 # ----------------------------------------------------------- root solvers
@@ -370,10 +387,11 @@ def test_tridiagonal_invariants_match_hmatrix(seed):
     assert det == pytest.approx(h.det, rel=1e-12, abs=1e-13 * scale**3)
 
 
-def _solver_histories(kappa):
+def _solver_histories(kappa, set_ids=quadprob.SET_IDS, sizes=(20, 100, 1000),
+                      starts=4, eps=QuadSolverConfig.eps):
     """Copies of every history solve_new hands to alpha_new_bb.
 
-    Sets 1-5 at n = 20, 100 and 1000, starting points 0-3.
+    By default sets 1-5 at n = 20, 100 and 1000, starting points 0-3.
     """
     seen = []
     real = termination3d.alpha_new_bb
@@ -388,12 +406,12 @@ def _solver_histories(kappa):
 
     termination3d.alpha_new_bb = spy
     try:
-        for set_id in quadprob.SET_IDS:
-            for n in (20, 100, 1000):
+        for set_id in set_ids:
+            for n in sizes:
                 p = quadprob.generate(set_id, n, kappa, seed=0)
-                for start in range(4):
+                for start in range(starts):
                     solve_new(p, quadprob.starting_point(p, start),
-                              QuadSolverConfig())
+                              QuadSolverConfig(eps=eps))
     finally:
         termination3d.alpha_new_bb = real
     return seen
@@ -431,6 +449,44 @@ def test_alpha_new_bb_degenerate_without_stepsizes():
         hist.push(1.0, 0.5, 0.4)     # bb present, stepsizes never set
     with pytest.raises(Degenerate):
         alpha_new_bb(hist)
+
+
+def _scaled_history(hist, e):
+    """hist as solve_new records it with the Hessian times 2^e: g'g times
+    4^e, stepsizes and BB values over 2^e, all exact while normal."""
+    out = GradientHistory()
+    out.gnorm_sq = [math.ldexp(v, 2 * e) for v in hist.gnorm_sq]
+    out.stepsize = [math.ldexp(v, -e) for v in hist.stepsize]
+    out.bb1 = [math.ldexp(v, -e) for v in hist.bb1]
+    out.bb2 = [math.ldexp(v, -e) for v in hist.bb2]
+    return out
+
+
+def test_recurrence_accepts_no_step_from_underflowed_terms():
+    # with the Hessian times c, g_r's terms scale as c^2 and g_ar's as
+    # c^3: from c = 2^-340 some of g_ar's fall under the normal range, and
+    # steps up to 12.6x wrong were accepted.  A step is Degenerate or the
+    # one of c = 1 over c, up to the cubic's pow(., 1.5), which is not
+    # exact under scaling (1 to 2 ulp).  A g_ar that is subnormal as the
+    # exact sum of normal terms keeps its step.
+    hists = _solver_histories(1e4, set_ids=(4,), sizes=(100,), starts=3,
+                              eps=1e-8)
+    assert len(hists) > 1000
+    degenerate = subnormal_kept = 0
+    for hist in hists:
+        alpha = alpha_new_bb(hist)
+        for e in [-200, 0, 300] + list(range(-360, -329)):
+            scaled = _scaled_history(hist, e)
+            try:
+                got = alpha_new_bb(scaled)
+            except Degenerate:
+                degenerate += 1
+                continue
+            assert got == pytest.approx(math.ldexp(alpha, -e), rel=1e-15,
+                                        abs=0.0)
+            if abs(recurrence_scalars(scaled).g_ar) < sys.float_info.min:
+                subnormal_kept += 1
+    assert degenerate > 10000 and subnormal_kept > 1000
 
 
 # ------------------------------------------------------- adaptive rule
