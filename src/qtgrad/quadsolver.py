@@ -23,10 +23,10 @@ start is copied back, and the final value 1/2 (x - x*)'g is taken in
 x's own storage.  Every vector comes from ``kernels.aligned_empty`` so
 that the kernel's stores start on cache lines: a misaligned store costs
 about twice an aligned one, and where plain ``np.empty`` puts a vector
-depends on heap history.  The
-problem's spectrum and x* are only read and stay where they are, since
-misaligning them measured no difference.  A 0-d array a0 carries each
-stepsize into the kernel at less dispatch cost than a Python float.
+depends on heap history.  The problem's spectrum and x* are only read
+and stay where they are, since misaligning them measured no difference.
+A 0-d array a0 carries each stepsize into the kernel at less dispatch
+cost than a Python float.
 """
 
 from __future__ import annotations
