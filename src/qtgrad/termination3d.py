@@ -19,7 +19,8 @@ entries are plain tuples, checked by chained comparisons.
 same arithmetic in :class:`RecurrenceScalars` and :class:`HMatrix` for
 tests and inspection; :class:`HMatrix` also serves outside input and the
 direct route.  The two routes share one solver for the largest root, the
-trigonometric closed form for cubic roots.  :func:`largest_root_quartic`
+trigonometric closed form for cubic roots, which reads tr H, tr(H^2) and
+det H and returns the root alone.  :func:`largest_root_quartic`
 solves a symmetric 4x4 by bisection on its characteristic polynomial; no
 solver takes a four-dimensional step.
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -67,51 +67,27 @@ def _symmetric(entries, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HMatrix:
-    """Symmetric 3x3 matrix whose spectral invariants are read on demand.
-
-    ``trace``, ``trace_sq`` (tr(H^2)) and ``det`` are computed when first
-    read and then cached, for inspection: the cubic solver reads the
-    invariants of H / 2^e instead.  Each is inf or 0 where it leaves the
-    float range.
-    """
+    """Finite symmetric 3x3 matrix, validated on construction; the cubic
+    solver reads its ``entries``, the acceptance gates its ``trace``."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _symmetric(self.entries, 3))
 
-    @cached_property
+    @property
     def trace(self) -> float:
         return float(np.trace(self.entries))
 
-    @cached_property
-    @np.errstate(over="ignore")
-    def trace_sq(self) -> float:
-        return float(np.trace(self.entries @ self.entries))
-
-    @cached_property
-    @np.errstate(over="ignore")
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
-
-@np.errstate(over="ignore")
-def _invariants(a: np.ndarray):
-    """(tr A, tr(A^2), det A) of a square array, inf where they overflow."""
-    return float(np.trace(a)), float(np.trace(a @ a)), float(np.linalg.det(a))
-
 
 class CubicSolve(NamedTuple):
-    """Largest root of the 3x3 characteristic polynomial plus intermediates."""
+    """Largest root of the 3x3 characteristic polynomial."""
 
-    p: float
-    q: float
-    theta: float
     largest_root: float
 
 
 class RecurrenceScalars(NamedTuple):
-    """Closed-form scalars feeding the recurrence route to H.
+    """The five closed-form scalars that H's recurrence entries read.
 
     ``g_r`` and ``g_ar`` are the inner products g'r and g'(Ar) of the
     newest gradient with the third (unnormalized) Gram-Schmidt direction;
@@ -121,9 +97,7 @@ class RecurrenceScalars(NamedTuple):
 
     sigma: float
     delta: float
-    zeta: float
     gamma: float
-    varsigma: float
     g_r: float
     g_ar: float
 
@@ -211,8 +185,8 @@ def project_hessian(u: np.ndarray, v: np.ndarray, r: np.ndarray,
     return HMatrix(h)
 
 
-def _largest_root(tr: float, tr2: float, det: float):
-    """(p, q, theta, root) for z^3 - tr z^2 + (tr^2 - tr2)/2 z - det = 0.
+def _largest_root(tr: float, tr2: float, det: float) -> float:
+    """Largest root of z^3 - tr z^2 + (tr^2 - tr2)/2 z - det = 0.
 
     The characteristic cubic of a symmetric 3x3 from its trace, tr(H^2)
     and det.  The shifted cubic has p = (tr^2 - 3 tr2) / 6, nonpositive
@@ -228,7 +202,6 @@ def _largest_root(tr: float, tr2: float, det: float):
     p = (tr * tr - 3.0 * tr2) / 6.0
     q = (5.0 * tr**3 - 9.0 * tr * tr2) / 54.0 - det
     if abs(p) <= _P_TOL * abs(tr2):
-        theta = 0.0
         root = tr / 3.0
     else:
         if p > 0.0:
@@ -241,7 +214,7 @@ def _largest_root(tr: float, tr2: float, det: float):
         raise Degenerate(f"cubic residual {residual} too large")
     if not (math.isfinite(root) and root > 0.0):
         raise Degenerate(f"largest root = {root}")
-    return p, q, theta, root
+    return root
 
 
 def _unit_scaled(a: np.ndarray):
@@ -265,13 +238,14 @@ def _scaled_back(root: float, e: int) -> float:
 def largest_root_cubic(h: HMatrix) -> CubicSolve:
     """Largest eigenvalue of a symmetric 3x3 via the trigonometric form.
 
-    Solves H / 2^e (:func:`_unit_scaled`); p, q and theta are its own.
-    Raises Degenerate when the solve fails, or the root is not positive
-    or leaves the float range.
+    Solves H / 2^e (:func:`_unit_scaled`), whose invariants cannot
+    overflow.  Raises Degenerate when the solve fails, or the root is not
+    positive or leaves the float range.
     """
     b, e = _unit_scaled(h.entries)
-    p, q, theta, root = _largest_root(*_invariants(b))
-    return CubicSolve(p, q, theta, _scaled_back(root, e))
+    root = _largest_root(float(np.trace(b)), float(np.trace(b @ b)),
+                         float(np.linalg.det(b)))
+    return CubicSolve(_scaled_back(root, e))
 
 
 def largest_root_quartic(entries) -> float:
@@ -331,7 +305,7 @@ def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,
 
 
 def _scalars(hist: GradientHistory):
-    """The seven fields of :class:`RecurrenceScalars` as a plain tuple.
+    """The five fields of :class:`RecurrenceScalars` as a plain tuple.
 
     The one copy of the recurrence arithmetic; see
     :func:`recurrence_scalars` for what it reads and when it raises.
@@ -361,10 +335,9 @@ def _scalars(hist: GradientHistory):
     ar_n1 = (1.0 / b0 + gamma / a2) * n1
     ar_n2 = varsigma * n2
     g_ar = ar_n1 + ar_n2
-    out = sigma, delta, zeta, gamma, varsigma, g_r, g_ar
+    out = sigma, delta, gamma, g_r, g_ar
     if not (-_INF < sigma < _INF and -_INF < delta < _INF
-            and -_INF < zeta < _INF and -_INF < gamma < _INF
-            and -_INF < varsigma < _INF and -_INF < g_r < _INF
+            and -_INF < gamma < _INF and -_INF < g_r < _INF
             and -_INF < g_ar < _INF):
         raise Degenerate(f"nonfinite recurrence scalars: {out}")
     # a term under the normal range has lost bits; g_r's scale as the
@@ -401,10 +374,10 @@ def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
 def _recurrence_entries(scal, hist: GradientHistory):
     """(h11, h12, h22, h23, h33) of H, h13 = 0; needs g_r > 0, sigma < 1.
 
-    ``scal`` holds the seven recurrence scalars in the order of
+    ``scal`` holds the five recurrence scalars in the order of
     :class:`RecurrenceScalars`, as that tuple or a plain one.
     """
-    sigma, delta, _, gamma, _, g_r, g_ar = scal
+    sigma, delta, gamma, g_r, g_ar = scal
     if not g_r > 0.0:
         raise Degenerate(f"g_r = {g_r}")
     if not sigma < 1.0:
@@ -452,7 +425,7 @@ def alpha_new_bb(hist: GradientHistory) -> float:
     """
     try:
         entries = _recurrence_entries(_scalars(hist), hist)
-        return 1.0 / _largest_root(*_tridiagonal_invariants(*entries))[3]
+        return 1.0 / _largest_root(*_tridiagonal_invariants(*entries))
     except OverflowError as exc:
         raise Degenerate(f"overflow: {exc}") from None
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -251,9 +252,10 @@ def test_quadbench_writes_sorted_reproducible_csvs(tmp_path):
         assert arow[agg_header.index("runs")] == "2"
         assert arow[agg_header.index("solved")] == "2"
 
-    before = (open(runs_path, "rb").read(), open(agg_path, "rb").read())
+    paths = (Path(runs_path), Path(agg_path))
+    before = tuple(path.read_bytes() for path in paths)
     run_experiment(spec)
-    after = (open(runs_path, "rb").read(), open(agg_path, "rb").read())
+    after = tuple(path.read_bytes() for path in paths)
     assert before == after
 
 

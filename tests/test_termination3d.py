@@ -110,17 +110,14 @@ def test_hmatrix_symmetry_test_is_relative():
         HMatrix([[1e-13, 0.0, 0.0], [5e-13, 1e-13, 0.0], [0.0, 0.0, 1e-13]])
 
 
-def test_hmatrix_caches_invariants():
-    m = np.diag([1.0, 2.0, 4.0])
-    h = HMatrix(m)
+def test_hmatrix_trace():
+    h = HMatrix(np.diag([1.0, 2.0, 4.0]))
     assert h.trace == 7.0
-    assert h.trace_sq == 21.0
-    assert h.det == pytest.approx(8.0)
 
 
 def test_direct_route_takes_one_determinant(monkeypatch):
-    # HMatrix computes its invariants only when read, and the cubic
-    # solver reads those of H / 2^e
+    # HMatrix computes no invariants, and the cubic solver reads those
+    # of H / 2^e
     det, calls = np.linalg.det, []
 
     def spy(a):
@@ -138,9 +135,9 @@ def test_direct_route_takes_one_determinant(monkeypatch):
 
 
 def test_cubic_identity_matrix_hits_safeguard():
-    solve = largest_root_cubic(HMatrix(np.eye(3) * 3.0))
-    assert solve.largest_root == pytest.approx(3.0, rel=1e-14)
-    assert solve.p == pytest.approx(0.0, abs=1e-12)
+    # p is 0.0 for 3I, and only the safeguard's tr/3 returns without
+    # dividing by |p|
+    assert largest_root_cubic(HMatrix(np.eye(3) * 3.0)).largest_root == 3.0
 
 
 # H times c must give c times the root; the cubic's tolerances were
@@ -150,10 +147,9 @@ SCALES = (1e-12, 1e-8, 1.0, 1e8)
 
 def test_cubic_on_diagonal():
     for scale in SCALES:
-        solve = largest_root_cubic(HMatrix(np.diag([0.1, 5.0, 2.0]) * scale))
-        assert solve.largest_root == pytest.approx(5.0 * scale, rel=1e-12)
-        assert solve.p <= 0.0
-        assert 0.0 <= solve.theta <= math.pi
+        h = HMatrix(np.diag([0.1, 5.0, 2.0]) * scale)
+        root = largest_root_cubic(h).largest_root
+        assert root == pytest.approx(5.0 * scale, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -379,12 +375,12 @@ def test_tridiagonal_invariants_match_hmatrix(seed):
     rng = np.random.default_rng(500 + seed)
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     h11, h12, h22, h23, h33 = rng.uniform(-10.0, 10.0, 5) * scale
-    h = HMatrix(np.array([[h11, h12, 0.0], [h12, h22, h23], [0.0, h23, h33]]))
+    a = np.array([[h11, h12, 0.0], [h12, h22, h23], [0.0, h23, h33]])
     tr, tr2, det = _tridiagonal_invariants(h11, h12, h22, h23, h33)
-    scale = float(np.abs(h.entries).max())   # entry scale for the abs slack
-    assert tr == pytest.approx(h.trace, rel=1e-14, abs=1e-14 * scale)
-    assert tr2 == pytest.approx(h.trace_sq, rel=1e-14)
-    assert det == pytest.approx(h.det, rel=1e-12, abs=1e-13 * scale**3)
+    scale = float(np.abs(a).max())   # entry scale for the abs slack
+    assert tr == pytest.approx(np.trace(a), rel=1e-14, abs=1e-14 * scale)
+    assert tr2 == pytest.approx(np.trace(a @ a), rel=1e-14)
+    assert det == pytest.approx(np.linalg.det(a), rel=1e-12, abs=1e-13 * scale**3)
 
 
 def _solver_histories(kappa, set_ids=quadprob.SET_IDS, sizes=(20, 100, 1000),
