@@ -28,7 +28,11 @@ class LinearDependence(Degenerate):
 
 
 class NumericalFailure(QtgradError):
-    """An intermediate overflowed, or the quartic root finder failed."""
+    """The steepest-descent step is not positive and finite.
+
+    Raised by :func:`qtgrad.stepsizes.sd_stepsize` where g'Ag or the step
+    overflows or underflows; the solvers end such a run ``nonfinite``.
+    """
 
 
 class NonDescentDirection(QtgradError):

@@ -129,14 +129,15 @@ def _spectrum(set_id: int, n: int, kappa: float, rng: np.random.Generator) -> np
     return v
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise InvalidSpec unless seed is an integer >= 0.
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool or a float, even
+    an integral one, is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
-    Python and numpy integers count; a bool or a float, even an integral
-    one, does not.
-    """
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise InvalidSpec unless seed is an integer >= 0 (:func:`_is_integer`)."""
+    if not _is_integer(seed) or seed < 0:
         raise InvalidSpec(f"{name} must be an integer >= 0, got {seed!r}")
 
 
@@ -149,16 +150,17 @@ def check_kappa(kappa: float) -> None:
 def check_spec(set_id: int, n: int, kappa: float) -> None:
     """Raise InvalidSpec unless :func:`generate` accepts (set_id, n, kappa).
 
-    n is an integer of at least 3, kappa lies in (1, inf) and so does the
-    largest Hessian eigenvalue 2 kappa, set 2 needs an even n, and sets 3
-    and 5 need n divisible by 5 and kappa >= 100.
+    set_id is one of ``SET_IDS`` and n at least 3, both integers by
+    :func:`_is_integer`; kappa lies in (1, inf) and so does the largest
+    Hessian eigenvalue 2 kappa, set 2 needs an even n, and sets 3 and 5
+    need n divisible by 5 and kappa >= 100.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InvalidSpec("n must be an integer")
+    if not _is_integer(n):
+        raise InvalidSpec(f"n must be an integer, got {n!r}")
     if n < 3:
         raise InvalidSpec("n must be at least 3")
-    if set_id not in SET_IDS:
-        raise InvalidSpec(f"unknown set id {set_id}")
+    if not _is_integer(set_id) or set_id not in SET_IDS:
+        raise InvalidSpec(f"unknown set id {set_id!r}")
     check_kappa(kappa)
     if not 2.0 * kappa < np.inf:
         raise InvalidSpec("2 kappa, the largest Hessian eigenvalue, must be finite")

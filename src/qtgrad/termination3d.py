@@ -21,8 +21,8 @@ tests and inspection; :class:`HMatrix` also serves outside input and the
 direct route.  The two routes share one solver for the largest root, the
 trigonometric closed form for cubic roots, which reads tr H, tr(H^2) and
 det H and returns the root alone.  :func:`largest_root_quartic`
-solves a symmetric 4x4 by bisection on its characteristic polynomial; no
-solver takes a four-dimensional step.
+solves a symmetric 4x4 by ``eigvalsh`` at the same scale; no solver takes
+a four-dimensional step.
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stepsizes
-from .errors import Degenerate, LinearDependence, NumericalFailure
+from .errors import Degenerate, LinearDependence
 
 _SYM_RTOL = 1e-12
 # Linear-dependence threshold of gram_schmidt3 and recurrence_scalars.
 TOL_DEP = 1e-10
 # |p| under this, relative to tr(H^2), means a triple eigenvalue.
 _P_TOL = 1e-12
-# Bisection budget and relative stopping width of largest_root_quartic.
-_QUARTIC_STEPS = 200
-_QUARTIC_RTOL = 1e-13
 # Bound of the chained finiteness guards: -_INF < x < _INF fails on nan
 # and on either infinity.
 _INF = math.inf
@@ -249,52 +246,16 @@ def largest_root_cubic(h: HMatrix) -> CubicSolve:
 
 
 def largest_root_quartic(entries) -> float:
-    """Largest eigenvalue of a symmetric 4x4 via safeguarded bisection.
+    """Largest eigenvalue of a symmetric 4x4, by ``eigvalsh``.
 
     No solver calls this; it is the 4x4 counterpart of
-    :func:`largest_root_cubic` for outside input.  Works on the
-    characteristic polynomial chi of A / 2^e (:func:`_unit_scaled`),
-    written through its trace, tr(A^2), tr(A^3) and det, so the stopping
-    width is relative to A's largest entry.  The predicate "chi and its
-    first three derivatives are all nonnegative at z" holds exactly for
-    z >= lambda_max and nowhere below it, and stays sharp at multiple
-    eigenvalues because whichever derivative has a simple root there
-    flips sign cleanly.  Bisection therefore needs no eigen-decomposition
-    and no polishing.  Raises Degenerate where the root overflows.
+    :func:`largest_root_cubic` for outside input.  Solves A / 2^e
+    (:func:`_unit_scaled`), so c A gives c times the root at every float
+    scale.  Raises ValueError unless the input is a finite symmetric 4x4,
+    and Degenerate where the root overflows.
     """
-    a, scale_exp = _unit_scaled(_symmetric(entries, 4))
-    sq = a @ a
-    e1, tr2, tr3 = float(np.trace(a)), float(np.trace(sq)), float(np.trace(sq @ a))
-    e2 = (e1 * e1 - tr2) / 2.0
-    e3 = (e1**3 + 2.0 * tr3 - 3.0 * e1 * tr2) / 6.0
-    e4 = float(np.linalg.det(a))
-
-    def at_or_above(z: float) -> bool:
-        chi = (((z - e1) * z + e2) * z - e3) * z + e4
-        d1 = ((4.0 * z - 3.0 * e1) * z + 2.0 * e2) * z - e3
-        d2 = (12.0 * z - 6.0 * e1) * z + 2.0 * e2
-        d3 = 24.0 * z - 6.0 * e1
-        return chi >= 0.0 and d1 >= 0.0 and d2 >= 0.0 and d3 >= 0.0
-
-    diag = np.diag(a)
-    radii = np.abs(a).sum(axis=1) - np.abs(diag)
-    lo = float(np.min(diag - radii))
-    hi = float(np.max(diag + radii))
-    if at_or_above(lo):
-        hi = lo
-    elif lo < hi and not at_or_above(hi):
-        hi += _QUARTIC_RTOL * max(1.0, abs(hi))
-        if not at_or_above(hi):
-            raise NumericalFailure("Gershgorin bound fails the root predicate")
-    for _ in range(_QUARTIC_STEPS + 1):
-        if not hi - lo > _QUARTIC_RTOL * max(1.0, abs(hi)):
-            return _scaled_back(hi, scale_exp)
-        mid = 0.5 * (lo + hi)
-        if at_or_above(mid):
-            hi = mid
-        else:
-            lo = mid
-    raise NumericalFailure("quartic bisection did not converge")
+    a, e = _unit_scaled(_symmetric(entries, 4))
+    return _scaled_back(float(np.linalg.eigvalsh(a)[-1]), e)
 
 
 def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,

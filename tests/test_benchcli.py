@@ -176,6 +176,7 @@ def test_print_config_roundtrips_a_hash_in_the_value(tmp_path, capsys):
     dict(ns=(20, 40, 20)),
     dict(kappas=(100.0, 1e2)),
     dict(epss=(1e-8, 1e-8)),
+    dict(sets=(True,)),               # ran set 1, its rows labelled True
 ])
 def test_spec_validation_rejects(tmp_path, kw):
     with pytest.raises(InvalidSpec):

@@ -121,10 +121,23 @@ def test_generate_is_deterministic_and_streams_are_split():
     (4, 10, 1e308, 0),      # ... and so must the Hessian's 2 kappa
     (1, 10, 100.0, -1),     # the seed must be >= 0
     (1, 10, 100.0, 1.5),    # ... and an integer; this one ran seed 1
+    (True, 10, 100.0, 0),   # the set id must be an int; this ran set 1
+    (4.0, 10, 100.0, 0),    # ... and this one set 4
 ])
 def test_generate_rejects_bad_specs(args):
     with pytest.raises(InvalidSpec):
         quadprob.generate(*args)
+
+
+@pytest.mark.parametrize("set_id", quadprob.SET_IDS)
+def test_numpy_integers_give_the_same_problem(set_id):
+    # n rejected np.int64, though the seed took it
+    p = quadprob.generate(set_id, 20, 1e4, 3)
+    q = quadprob.generate(np.int64(set_id), np.int64(20), 1e4, np.int32(3))
+    np.testing.assert_array_equal(q.spectrum, p.spectrum)
+    np.testing.assert_array_equal(q.x_star, p.x_star)
+    np.testing.assert_array_equal(quadprob.starting_point(q, np.int64(2)),
+                                  quadprob.starting_point(p, 2))
 
 
 @pytest.mark.parametrize("kappa", [1.0, math.inf])

@@ -241,6 +241,21 @@ def test_quartic_multiplicities(spectrum, rel):
     assert root == pytest.approx(max(spectrum), rel=rel, abs=1e-12)
 
 
+def test_quartic_raises_degenerate_where_the_root_overflows():
+    with pytest.raises(Degenerate, match="overflows"):
+        largest_root_quartic(np.full((4, 4), 1.5e308))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quartic_root_scales_exactly_by_powers_of_two(seed):
+    rng = np.random.default_rng(2000 + seed)
+    b = rng.standard_normal((4, 4))
+    A = b + b.T
+    root = largest_root_quartic(A)
+    for k in (-1000, -100, 100, 1000):
+        assert largest_root_quartic(np.ldexp(A, k)) == math.ldexp(root, k)
+
+
 def test_quartic_rejects_3x3():
     with pytest.raises(ValueError):
         largest_root_quartic(np.eye(3))
