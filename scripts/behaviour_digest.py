@@ -1,4 +1,4 @@
-"""Print a SHA-256 digest of every CSV a fixed set of CLI runs writes.
+"""Print a SHA-256 digest of every file a fixed set of CLI runs writes.
 
 Usage::
 
@@ -24,18 +24,21 @@ directory:
   Gram-Schmidt, at 1e8 one seed in ten degenerates at k = 6 in the BBQ
   step, and the kappa 1e300 rows overflow.
 
-After them it runs ``profile grid_runs.csv --metric iter --out
-profile.csv`` on the first grid's run table (``profile`` takes no
-``--zero-times``, and iteration counts need none).
+Each run's ``--out`` is its prefix, relative to that directory, and the
+same argv with ``--print-config`` is saved as ``<prefix>.cfg``, so the
+digest also pins the config format that replays a grid.  After them it
+runs ``profile grid_runs.csv --metric iter --out profile.csv`` on the
+first grid's run table (``profile`` takes no ``--zero-times``, and
+iteration counts need none).
 
-It prints one ``sha256  file`` line per CSV, fifteen in all, and takes
-about 3.5 s on a 2-vCPU host.  Two source trees whose arithmetic agrees
-print the same lines.
+It prints one ``sha256  file`` line per file, fifteen CSVs and five
+configs, and takes about 6 s on a 2-vCPU host.  Two source trees whose
+arithmetic and config format agree print the same lines.
 
 With ``--against OTHER_SRC`` it runs the same set on both trees and
-prints one ``OTHER_SHA  SRC_SHA  file`` line for each CSV whose bytes
+prints one ``OTHER_SHA  SRC_SHA  file`` line for each file whose bytes
 differ (or that only one tree wrote), nothing for the rest, and a count
-on standard error.  It exits 1 when any CSV differs and 0 otherwise, so
+on standard error.  It exits 1 when any file differs and 0 otherwise, so
 ``--against`` a parent's ``src`` checks that a change left every output
 byte for byte as it was.
 """
@@ -66,20 +69,25 @@ RUNS = (
 
 
 def digests(src: Path) -> dict[str, str]:
-    """SHA-256 of every CSV the fixed runs write with ``PYTHONPATH=src``."""
+    """SHA-256 of every file the fixed runs write with ``PYTHONPATH=src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as tmp:
         def cli(*args):
-            subprocess.run([sys.executable, "-m", "qtgrad.benchcli", *args],
-                           cwd=tmp, check=True, stdout=subprocess.DEVNULL,
-                           env=env)
+            return subprocess.run(
+                [sys.executable, "-m", "qtgrad.benchcli", *args], cwd=tmp,
+                check=True, stdout=subprocess.PIPE, env=env).stdout
 
         for prefix, args in RUNS:
-            cli(*args, "--zero-times", "--out", os.path.join(tmp, prefix))
-        cli("profile", os.path.join(tmp, "grid_runs.csv"), "--metric",
-            "iter", "--out", os.path.join(tmp, "profile.csv"))
+            # relative, so that every tree prints the same out= line
+            argv = [*args, "--zero-times", "--out", prefix]
+            cli(*argv)
+            Path(tmp, prefix + ".cfg").write_bytes(
+                cli(*argv, "--print-config"))
+        cli("profile", "grid_runs.csv", "--metric", "iter", "--out",
+            "profile.csv")
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(Path(tmp).glob("*.csv"))}
+                for path in sorted(Path(tmp).iterdir())
+                if path.suffix in (".csv", ".cfg")}
 
 
 def main(argv: list[str]) -> int:
@@ -88,7 +96,7 @@ def main(argv: list[str]) -> int:
                     default=Path(__file__).resolve().parent.parent / "src",
                     help="source tree to run (default: this checkout's src)")
     ap.add_argument("--against", metavar="OTHER_SRC",
-                    help="also run OTHER_SRC and print only the CSVs that "
+                    help="also run OTHER_SRC and print only the files that "
                          "differ")
     args = ap.parse_args(argv)
     src = Path(args.src).resolve()
@@ -105,7 +113,7 @@ def main(argv: list[str]) -> int:
     differ = [n for n in names if theirs.get(n) != mine.get(n)]
     for name in differ:
         print(f"{theirs.get(name, '-')}  {mine.get(name, '-')}  {name}")
-    print(f"behaviour_digest: {len(names) - len(differ)}/{len(names)} CSVs "
+    print(f"behaviour_digest: {len(names) - len(differ)}/{len(names)} files "
           f"identical", file=sys.stderr)
     return 1 if differ else 0
 

@@ -34,7 +34,8 @@ Configuration is plain ``key=value`` lines, where a ``#`` at the start
 of a line or after whitespace begins a comment, with precedence
 defaults < preset < file < flags.  Named presets bundle the per-set
 (tau1, gamma) pairs used in the source tables; with no preset and no
-flags the solvers run on their own defaults.
+flags the solvers run on their own defaults.  ``_KEYS`` states the
+format once, for ``resolve_spec`` and ``--print-config`` alike.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import argparse
 import bisect
 import csv
 import math
-import numbers
 import os
 import re
 import sys
@@ -101,8 +101,16 @@ _DEFAULTS = {
 # dimension and no kappa.
 _UNUSED = {"verify3d": ("set", "n", "eps", "tau1", "gamma"),
            "uncbench": ("set", "n", "kappa")}
-# The ExperimentSpec field of each grid key.
-_GRID_FIELDS = {"set": "sets", "n": "ns", "kappa": "kappas", "eps": "epss"}
+# Each config key, in --print-config order: the ExperimentSpec field it
+# sets and its type, where a 1-tuple is a comma-separated list.
+_KEYS = {"methods": ("methods", (str,)), "set": ("sets", (int,)),
+         "n": ("ns", (int,)), "kappa": ("kappas", (float,)),
+         "eps": ("epss", (float,)), "seeds": ("seeds", int),
+         "tau1": ("tau1", float), "gamma": ("gamma", float),
+         "out": ("out", str), "trace": ("trace", bool),
+         "zero_times": ("zero_times", bool)}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 # quadbench fixes the problem instance and varies the starting point, so
 # the seed column is the replicate index of the start.  _run_cell reads
@@ -139,9 +147,7 @@ class ExperimentSpec:
                     f"method {m!r} not valid for {self.experiment} "
                     f"(choose from {', '.join(allowed)})")
         # range() takes Python and numpy integers, and no float
-        if (isinstance(self.seeds, bool)
-                or not isinstance(self.seeds, numbers.Integral)):
-            raise InvalidSpec(f"seeds must be an integer, got {self.seeds!r}")
+        quadprob.check_seed(self.seeds, "seeds")
         if self.seeds < 1:
             raise InvalidSpec("seeds must be at least 1")
         if not (self.sets and self.ns and self.kappas and self.epss):
@@ -161,7 +167,7 @@ class ExperimentSpec:
             for kappa in self.kappas:
                 quadprob.check_kappa(kappa)
         for key in _UNUSED.get(self.experiment, ()):
-            if (getattr(self, _GRID_FIELDS.get(key, key))
+            if (getattr(self, _KEYS[key][0])
                     != _DEFAULTS[self.experiment].get(key)):
                 raise InvalidSpec(f"{self.experiment} does not use {key}")
         if self.experiment == "uncbench" and self.seeds > 1:
@@ -396,9 +402,10 @@ def _read_runs(path):
             # a truncated row holds None, which float() rejects by TypeError
             try:
                 for c in ("n", "seed", "iters", "nfe", "ngrad"):
-                    row[c] = int(float(row[c]))
-                    if row[c] < 0:
+                    count = float(row[c])
+                    if count < 0 or not count.is_integer():
                         raise ValueError
+                    row[c] = int(count)
                 for c in ("kappa", "eps", "final_gnorm", "time_ms"):
                     row[c] = float(row[c])
                 if not 0.0 <= row[c] < math.inf:   # c is time_ms
@@ -406,7 +413,7 @@ def _read_runs(path):
                 c = "final_f"
                 val = row.get(c)
                 row[c] = float(val) if val not in (None, "") else math.nan
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError):
                 raise InvalidInput(f"{path}:{reader.line_num}: column {c}"
                                    f" holds {raw.get(c)!r}") from None
             rows.append(row)
@@ -441,33 +448,18 @@ def parse_config(path):
     return out
 
 
-def _parse_list(val, conv):
-    if isinstance(val, (tuple, list)):
-        return tuple(conv(v) for v in val)
-    try:
-        return tuple(conv(v) for v in str(val).split(","))
-    except ValueError:
-        raise InvalidSpec(f"cannot parse list value {val!r}")
-
-
-def _parse_scalar(key, val, conv):
-    if val is None:
-        return None
-    try:
-        return conv(val)
-    except ValueError:
-        raise InvalidSpec(f"cannot parse {key} value {val!r}")
-
-
-def _parse_bool(val):
-    if isinstance(val, bool):
+def _parse(key, val, kind):
+    """Read text as kind; a typed default or argparse value is kept."""
+    if not isinstance(val, str):
         return val
-    low = str(val).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise InvalidSpec(f"cannot parse boolean value {val!r}")
+    try:
+        if isinstance(kind, tuple):
+            return tuple(kind[0](v) for v in val.split(","))
+        if kind is bool:
+            return _BOOLS[val.strip().lower()]
+        return kind(val)
+    except (KeyError, ValueError):
+        raise InvalidSpec(f"cannot parse {key} value {val!r}") from None
 
 
 def resolve_spec(verb: str, args) -> ExperimentSpec:
@@ -493,27 +485,17 @@ def resolve_spec(verb: str, args) -> ExperimentSpec:
                 raise InvalidSpec(
                     f"config file is for {val!r}, not {verb!r}")
             continue
-        if key not in merged:
+        if key not in _KEYS:
             raise InvalidSpec(f"unknown config key {key!r}")
         merged[key] = val
-    for key in merged:
+    for key in _KEYS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
     return ExperimentSpec(
         experiment=verb,
-        methods=_parse_list(merged["methods"], str),
-        sets=_parse_list(merged["set"], int),
-        ns=_parse_list(merged["n"], int),
-        kappas=_parse_list(merged["kappa"], float),
-        epss=_parse_list(merged["eps"], float),
-        seeds=_parse_scalar("seeds", merged["seeds"], int),
-        tau1=_parse_scalar("tau1", merged["tau1"], float),
-        gamma=_parse_scalar("gamma", merged["gamma"], float),
-        out=str(merged["out"]),
-        trace=_parse_bool(merged["trace"]),
-        zero_times=_parse_bool(merged["zero_times"]),
-    )
+        **{field: _parse(key, merged[key], kind)
+           for key, (field, kind) in _KEYS.items()})
 
 
 def print_config(spec: ExperimentSpec) -> None:
@@ -525,19 +507,17 @@ def print_config(spec: ExperimentSpec) -> None:
         raise InvalidSpec(f"--print-config cannot write out {spec.out!r}: "
                           "a config file would not read it back")
     print(f"experiment={spec.experiment}")
-    print(f"methods={','.join(spec.methods)}")
-    print(f"set={','.join(str(s) for s in spec.sets)}")
-    print(f"n={','.join(str(n) for n in spec.ns)}")
-    print(f"kappa={','.join(repr(k) for k in spec.kappas)}")
-    print(f"eps={','.join(repr(e) for e in spec.epss)}")
-    print(f"seeds={spec.seeds}")
-    if spec.tau1 is not None:
-        print(f"tau1={spec.tau1!r}")
-    if spec.gamma is not None:
-        print(f"gamma={spec.gamma!r}")
-    print(line)
-    print(f"trace={int(spec.trace)}")
-    print(f"zero_times={int(spec.zero_times)}")
+    for key, (field, kind) in _KEYS.items():
+        value = getattr(spec, field)
+        # tau1 and gamma are None while the solver keeps its default
+        if value is None:
+            continue
+        if kind is bool:
+            value = int(value)
+        items = value if isinstance(kind, tuple) else (value,)
+        text = ",".join(repr(v) if isinstance(v, float) else str(v)
+                        for v in items)
+        print(f"{key}={text}")
 
 
 def _run_verb(args) -> int:

@@ -147,6 +147,40 @@ def test_print_config_roundtrips_a_hash_in_the_value(tmp_path, capsys):
         assert "cannot write out" in printed.err
 
 
+PINNED_ARGV = ["quadbench", "--preset", "table3-set5-new", "--set", "1,4",
+               "--n", "100,1000", "--kappa", "1e2,0.1e5", "--eps",
+               "1e-6,1e-300", "--methods", "bbq,new", "--seeds", "4",
+               "--trace", "--zero-times", "--out", "res"]
+
+
+def test_print_config_pins_the_format_of_every_key(tmp_path, capsys):
+    assert main(PINNED_ARGV + ["--print-config"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines() == [
+        "experiment=quadbench", "methods=bbq,new", "set=1,4",
+        "n=100,1000", "kappa=100.0,10000.0", "eps=1e-06,1e-300",
+        "seeds=4", "tau1=0.6", "gamma=1.3", "out=res", "trace=1",
+        "zero_times=1"]
+    cfg = tmp_path / "printed.cfg"
+    cfg.write_text(text)
+    spec = resolve_spec("quadbench", make_args(config=str(cfg)))
+    args = benchcli._build_parser().parse_args(PINNED_ARGV)
+    assert spec == resolve_spec("quadbench", args)
+    assert spec.trace and spec.zero_times
+
+
+@pytest.mark.parametrize("line, key", [
+    ("kappa=1e2,x", "kappa"), ("n=1,x", "n"), ("trace=maybe", "trace"),
+    ("zero_times=2", "zero_times"), ("seeds=2.5", "seeds"),
+])
+def test_config_text_that_does_not_parse_names_its_key(tmp_path, capsys,
+                                                       line, key):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["quadbench", "--config", str(cfg)]) == 2
+    assert f"cannot parse {key} value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kw", [
     dict(experiment="mystery"),
     dict(methods=()),
@@ -465,6 +499,10 @@ def test_profile_rejects_malformed_csv(tmp_path):
     ("ngrad", "-1"),
     ("n", "-100"),
     ("seed", "-1"),
+    # a fractional count was cut to its integer part and profiled
+    ("iters", "2.5"),
+    ("n", "20.7"),
+    ("seed", "1.5"),
 ])
 def test_main_rejects_bad_cells_in_runs_csv(tmp_path, capsys, cell, value):
     runs_path, _ = run_experiment(spec_for(tmp_path))
