@@ -74,7 +74,7 @@ class QuadraticProblem:
 
 def value(p: QuadraticProblem, x: np.ndarray) -> float:
     d = np.asarray(x, dtype=float) - p.x_star
-    return p.value_scale * float(d @ (p.spectrum * d))
+    return p.value_scale * float(d.dot(p.spectrum * d))
 
 def gradient(p: QuadraticProblem, x: np.ndarray, out=None) -> np.ndarray:
     """The gradient (x - x*) h, written into ``out`` when given."""

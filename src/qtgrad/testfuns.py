@@ -21,7 +21,7 @@ def sphere(n: int = 50) -> ObjectiveFn:
     """Minimum is at f(0,...,0)=0."""
 
     def value(x):
-        return float(x @ x)
+        return float(x.dot(x))
 
     def gradient(x):
         return 2.0 * x
@@ -51,7 +51,8 @@ def rosenbrock_ext(n: int = 100) -> ObjectiveFn:
         odd = x[0::2]
         even = x[1::2]
         t = even - odd**2
-        return float(100.0 * (t @ t) + (1.0 - odd) @ (1.0 - odd))
+        u = 1.0 - odd
+        return float(100.0 * t.dot(t) + u.dot(u))
 
     def gradient(x):
         g = np.empty_like(x)
@@ -173,7 +174,7 @@ def trigonometric(n: int = 10) -> ObjectiveFn:
 
     def value(x):
         r = _residuals(x)
-        return float(r @ r)
+        return float(r.dot(r))
 
     def gradient(x):
         r = _residuals(x)
@@ -195,7 +196,7 @@ def broyden_tridiagonal(n: int = 100) -> ObjectiveFn:
 
     def value(x):
         r = _residuals(x)
-        return float(r @ r)
+        return float(r.dot(r))
 
     def gradient(x):
         r = _residuals(x)
@@ -217,7 +218,7 @@ def dixon_price(n: int = 10) -> ObjectiveFn:
 
     def value(x):
         t = _terms(x)
-        return float((x[0] - 1.0) ** 2 + idx @ (t * t))
+        return float((x[0] - 1.0) ** 2 + idx.dot(t * t))
 
     def gradient(x):
         t = _terms(x)

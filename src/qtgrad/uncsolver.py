@@ -15,11 +15,21 @@ takes ``d=None`` for -g, using g'd = -g'g and the trial x - lam g.  Both
 are bitwise what the explicit -g gives, because IEEE rounding is
 symmetric in sign: every product g_i (-g_i) is -(g_i g_i), so the dot is
 the negated g'g, and x + lam (-g) is x - lam g element by element.
+
+Nor does it form ||g||_inf after a step unless something reads it.  The
+stop test ||g||_inf <= eps_inf cannot pass while g'g, which the solver
+holds, exceeds ``_no_stop_above(n, eps_inf)`` (about n eps_inf^2), since
+||g||_inf^2 >= g'g / n; the norm is formed for the stop test only below
+that bound, and wherever else it is read: the first trial and the
+``nocurv`` restart, a trace row, the underflowing-g'g message and the
+report.  A skipped norm could only have failed the stop test, so every
+run is bit for bit what forming it each step gives.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -107,7 +117,7 @@ def _search(value_fn, x, g, d, alpha0, f_r, delta, eta, max_backtracks, *,
     accepted, for the caller to report.
     """
     if d is not None:
-        gd = float(g @ d)
+        gd = float(g.dot(d))
     else:
         gd = -(float(g.dot(g)) if gg is None else gg)
     if gd >= 0.0:
@@ -171,6 +181,23 @@ def _norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _no_stop_above(n: int, eps_inf: float) -> float:
+    """The g'g above which ||g||_inf > eps_inf is certain, for g of size n.
+
+    ||g||_inf <= eps_inf gives g'g <= n eps_inf^2.  The computed g'g
+    exceeds the exact one by at most gamma_n < 1e-6 relative for n below
+    about 4e9, plus 2^-1075 per square that underflows, which is far
+    below the margin while eps_inf^2 is normal; so a computed g'g above
+    n eps_inf^2 (1 + 1e-6) rules the stop out.  Where eps_inf^2 is below
+    the normal range its rounding error is not relative, and the bound
+    is inf: nothing is ruled out, as where eps_inf^2 overflows.
+    """
+    eps_sq = eps_inf * eps_inf
+    if eps_sq < sys.float_info.min:
+        return math.inf
+    return n * eps_sq * (1.0 + 1e-6)
+
+
 # An objective or the solver's dots may overflow to inf or nan, which the
 # run reports as "nonfinite"; entered once per solve, not per iteration.
 @np.errstate(over="ignore", invalid="ignore")
@@ -187,7 +214,10 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     ||x||_inf / ||g||_inf, or 1 / ||g||_inf at x = 0.  No trial is
     clamped and none has an absolute length, so f times c gives every
     trial divided by c, and x times c every trial times c^2.  Stops at
-    ||g||_inf <= eps_inf or on budget exhaustion; a failed line search
+    ||g||_inf <= eps_inf or on budget exhaustion; ||g||_inf is formed for
+    the stop test only where g'g <= ``_no_stop_above(n, eps_inf)``, as
+    above that bound the test cannot pass, and ``final_gnorm`` is always
+    ||g||_inf at the last accepted iterate.  A failed line search
     aborts with its diagnostic, and so does a g'g that underflows to 0
     while ||g||_inf > eps_inf, which leaves -g no descent to search.  A
     starting point that is not finite, or whose shape is not that of
@@ -220,7 +250,6 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     gg = float(g.dot(g))
     if gg > 0.0:
         hist.push(gg)
-    ginf = _norm_inf(g)
 
     def finish(status: str, message: str = "") -> RunReport:
         rep.iterations = it
@@ -228,7 +257,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         rep.ngrad = ngrad
         rep.status = status
         rep.message = message
-        rep.final_gnorm = ginf
+        rep.final_gnorm = _norm_inf(g)
         rep.final_f = fval
         rep.wall_time = time.perf_counter() - t0
         return rep
@@ -236,8 +265,9 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     if not (math.isfinite(fval) and math.isfinite(gg)):
         return finish(STATUS_NONFINITE, "starting value or gradient is not finite")
     eps_inf = cfg.eps_inf
-    if ginf <= eps_inf:
+    if _norm_inf(g) <= eps_inf:
         return finish(STATUS_OK)
+    no_stop_above = _no_stop_above(g.size, eps_inf)
     alpha, branch = None, "init"
     tau, gamma, use_new_step = cfg.tau1, cfg.gamma, cfg.use_new_step
     trace = rep.trace if cfg.keep_trace else None
@@ -245,7 +275,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
     while True:
         if alpha is None:
             xinf = _norm_inf(x)
-            alpha = (xinf if xinf > 0.0 else 1.0) / ginf
+            alpha = (xinf if xinf > 0.0 else 1.0) / _norm_inf(g)
         try:
             lam, used, x_new, f_new = _search(
                 value, x, g, None, alpha, ref.f_r, DELTA, ETA, MAX_BACKTRACKS,
@@ -255,7 +285,7 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
             return finish(STATUS_LINESEARCH, str(exc))
         except NonDescentDirection:
             return finish(STATUS_LINESEARCH,
-                          f"g'g underflows to 0 at ||g||_inf = {ginf} "
+                          f"g'g underflows to 0 at ||g||_inf = {_norm_inf(g)} "
                           f"after iteration {it}")
         nfe += used
         if not math.isfinite(f_new):
@@ -280,16 +310,16 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
             if yy > 0.0:
                 new_bb2 = sy / yy
         x, g, gg, fval = x_new, g_new, gg_new, f_new
-        ginf = _norm_inf(g)
         if gg > 0.0:
             hist.push(gg, new_bb1, new_bb2)
         ref = update_reference(ref, fval)
         if trace is not None:
             trace.append(TraceRecord(
-                k=it, stepsize=lam, branch=branch,
-                gnorm=ginf, fval=fval, bb1=new_bb1, bb2=new_bb2, tau=tau))
+                k=it, stepsize=lam, branch=branch, gnorm=_norm_inf(g),
+                fval=fval, bb1=new_bb1, bb2=new_bb2, tau=tau))
 
-        if ginf <= eps_inf:
+        # ||g||_inf^2 >= g'g / n: above the bound the test cannot pass
+        if gg <= no_stop_above and _norm_inf(g) <= eps_inf:
             return finish(STATUS_OK)
         if it >= MAX_ITER:
             return finish(STATUS_MAXITER, "iteration budget exhausted")

@@ -1,5 +1,6 @@
 """Line search, reference bookkeeping and the globalized solver."""
 
+import dataclasses
 import itertools
 import math
 
@@ -32,6 +33,39 @@ from test_uncsolver_bitwise import _bits, _point, _quartic
 
 def parabola(x):
     return float(x[0] ** 2)
+
+
+def _solve_checking_gnorms(f, x0=None, cfg=UncSolverConfig()):
+    """solve(f, x0, cfg), untraced and traced, checking every ||g||_inf.
+
+    The gradient is called at the start and at each accepted point, in
+    order, so a run's last accepted iterate is call ``iterations`` (a
+    point whose gradient is not finite is not accepted) and trace row k
+    belongs to call k.  final_gnorm and each row's gnorm must be
+    max |g_i| there, whether or not the solver formed it during the
+    run.  Both runs must agree; the traced report is returned.
+    """
+    reps = []
+    for keep_trace in (False, True):
+        grads = []
+
+        def gradient(x):
+            grads.append(np.asarray(f.gradient(x), dtype=float))
+            return grads[-1]
+
+        rep = solve(dataclasses.replace(f, gradient=gradient), x0,
+                    dataclasses.replace(cfg, keep_trace=keep_trace))
+        norms = [float(np.abs(g).max()) for g in grads]
+        assert rep.final_gnorm == norms[rep.iterations]
+        rows = norms[1:rep.iterations + 1] if keep_trace else []
+        assert [row.gnorm for row in rep.trace] == rows
+        reps.append(rep)
+    untraced, traced = reps
+    assert (untraced.status, untraced.message, untraced.iterations,
+            untraced.nfe, untraced.final_f) == (
+        traced.status, traced.message, traced.iterations, traced.nfe,
+        traced.final_f)
+    return traced
 
 
 def test_line_search_hand_case():
@@ -137,7 +171,7 @@ def test_sphere_solves_in_a_few_steps():
 
 
 def test_rosenbrock_iteration_window():
-    rep = solve(testfuns.rosenbrock2())
+    rep = _solve_checking_gnorms(testfuns.rosenbrock2())
     assert rep.status == STATUS_OK
     assert 20 <= rep.iterations <= 200
     assert rep.final_gnorm <= 1e-6
@@ -147,7 +181,7 @@ def test_lying_objective_fails_line_search():
     # value grows along the reported descent direction, nothing accepts
     f = ObjectiveFn("liar", lambda x: float(x[0]),
                     lambda x: np.array([-1.0]), np.array([0.0]))
-    rep = solve(f)
+    rep = _solve_checking_gnorms(f)
     assert rep.status == STATUS_LINESEARCH
     assert "no acceptable step" in rep.message
 
@@ -158,7 +192,7 @@ def test_concave_region_uses_nocurv_branch(monkeypatch):
     monkeypatch.setattr(unc, "MAX_ITER", 2)
     f = ObjectiveFn("cave", lambda x: float(-0.5 * x[0] ** 2),
                     lambda x: np.array([-x[0]]), np.array([1.0]))
-    rep = solve(f, cfg=UncSolverConfig(keep_trace=True))
+    rep = _solve_checking_gnorms(f)
     assert rep.status == STATUS_MAXITER
     assert rep.trace[1].branch == "nocurv"
     assert rep.trace[1].stepsize == 1.0
@@ -244,7 +278,7 @@ def test_nonfinite_during_run_reports_nonfinite(value, gradient, what):
     # be a rejected trial, and this run went on to feval_budget after
     # 1,000,038 evaluations
     f = ObjectiveFn("hole", value, gradient, np.array([3.0, 1.0]))
-    rep = solve(f)
+    rep = _solve_checking_gnorms(f)
     assert rep.status == STATUS_NONFINITE
     assert rep.message == f"{what} not finite at iteration 1"
     assert rep.iterations == 0
@@ -266,7 +300,7 @@ def test_infinite_trial_value_is_a_rejected_trial():
 
 def test_feval_budget_status(monkeypatch):
     monkeypatch.setattr(unc, "MAX_FEVALS", 2)
-    rep = solve(testfuns.rosenbrock2())
+    rep = _solve_checking_gnorms(testfuns.rosenbrock2())
     assert rep.status == STATUS_FEVAL_BUDGET
     assert rep.nfe >= 2
 
@@ -275,7 +309,8 @@ def test_underflowing_gg_ends_the_run_with_a_status():
     # g = [0, 3.1e-165, -1.4e-165] has ||g||_inf above eps_inf but a g'g
     # that underflows to 0; the line search's NonDescentDirection used to
     # escape solve
-    rep = solve(testfuns.helical_valley(), cfg=UncSolverConfig(eps_inf=1e-300))
+    rep = _solve_checking_gnorms(testfuns.helical_valley(),
+                                 cfg=UncSolverConfig(eps_inf=1e-300))
     assert rep.status == STATUS_LINESEARCH
     assert "underflows" in rep.message
     assert rep.final_gnorm > 1e-300 and rep.iterations > 0
@@ -285,8 +320,8 @@ def test_undefined_previous_bb2_is_not_a_stepsize(monkeypatch):
     # at iteration 828 the previous pair's BB2 is nan, which was taken as
     # the stepsize: the run ended "nonfinite" although f and g were finite
     monkeypatch.setattr(unc, "MAX_ITER", 1000)
-    rep = solve(testfuns.dixon_price(),
-                cfg=UncSolverConfig(eps_inf=1e-300, keep_trace=True))
+    rep = _solve_checking_gnorms(testfuns.dixon_price(),
+                                 cfg=UncSolverConfig(eps_inf=1e-300))
     assert rep.status == STATUS_MAXITER
     assert rep.iterations == 1000
     assert all(0.0 < row.stepsize < math.inf for row in rep.trace)
