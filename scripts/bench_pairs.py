@@ -29,6 +29,11 @@ neither side, and gives a verdict against the metric's bound:
 and the medians differ, in the change's favour, by more than the
 parent's interquartile range.
 
+Each run's entry also keeps perfbench's ``meta["unscaled"]`` (the
+timing metrics as measured, before the speed probe scales them) and
+``meta["probe_s_median"]``, and the script prints each side's median
+unscaled ``us_per_iter``, so a gain can be checked without the probe.
+
 With ``--traced``, one ``--trace 1`` run per side follows the pairs, at
 seed A, parent first; the entry's ``traced`` key holds each side's
 per-layer metrics and the hooks its tracer found absent.
@@ -142,6 +147,24 @@ def compare(metric, parent_vals, change_vals):
     }
 
 
+def run_entry(meta, res):
+    """What a pair keeps of one untraced run: its metrics, and its timings
+    as measured with the probe time that scaled them."""
+    return {
+        "commit": meta.get("commit"), "correct": res["correct"],
+        "attempted": res["attempted"], "failed": res["failed"],
+        "metrics": {k: v["value"] for k, v in res["metrics"].items()},
+        "unscaled": meta["unscaled"],
+        "probe_s_median": meta["probe_s_median"],
+    }
+
+
+def unscaled_median(runs, side, name):
+    """Median over the pairs of one side's metric as measured, before the
+    speed probe scales it."""
+    return statistics.median(r[side]["unscaled"][name] for r in runs)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_tree", help="checkout of the parent commit")
@@ -169,11 +192,7 @@ def main(argv=None):
         for side in order:
             t0 = time.perf_counter()
             meta, res = run_once(trees[side], args.workload, seed, seconds)
-            pair[side] = {
-                "commit": meta.get("commit"), "correct": res["correct"],
-                "attempted": res["attempted"], "failed": res["failed"],
-                "metrics": {k: v["value"] for k, v in res["metrics"].items()},
-            }
+            pair[side] = run_entry(meta, res)
             print(f"seed {seed} {side}: wall_s "
                   f"{res['metrics']['wall_s']['value']:.3f} "
                   f"({time.perf_counter() - t0:.0f} s)", flush=True)
@@ -218,6 +237,9 @@ def main(argv=None):
               f"[{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
               f"wins {m['wins']}/{m['pairs']}  {m['verdict']}"
               + ("  GAIN" if m["gain"] else ""))
+    for side in trees:
+        print(f"{side}: unscaled us_per_iter median "
+              f"{unscaled_median(runs, side, 'us_per_iter'):.6g}")
     print(f"wrote {path}")
     return 0
 

@@ -20,11 +20,15 @@ are sums of per-block partial sums, added in ascending block order in
 either direction, so above ``BLOCK`` they are summed in a different
 order than a whole-array dot product and can differ from it in the last
 bits.  Up to ``BLOCK`` elements the kernel runs once on the whole
-arrays, the same arithmetic bit for bit.
+arrays, the same arithmetic bit for bit.  Each block runs through
+:func:`quad_step` itself, by way of a private alias rather than the
+module attribute, so a wrapper patched onto ``kernels.quad_step`` sees
+one call per step at every n.
 
-At small n a step costs numpy call dispatch, not flops, so ``alpha``
-may be a 0-d float64 array, which numpy multiplies by at less dispatch
-cost than a Python float; the product is the same.
+At small n a step costs numpy call dispatch, not flops: ``alpha`` may
+be a 0-d float64 array, which numpy multiplies by at less dispatch cost
+than a Python float (the product is the same), and the two ufuncs are
+bound once at module level.
 
 The vectors a step writes (x, g, the spare and y) should start on a
 cache-line boundary of ``ALIGN`` = 64 bytes, which :func:`aligned_empty`
@@ -53,6 +57,10 @@ import numpy as np
 BLOCK = 1 << 15
 # Bytes per cache line, the boundary aligned_empty places a vector on.
 ALIGN = 64
+# The step's ufuncs, bound once: a module global is one lookup, np.multiply
+# two.
+_multiply = np.multiply
+_subtract = np.subtract
 
 
 def backend_name() -> str:
@@ -80,18 +88,6 @@ def gradient_windows(n):
     return buf[:n], buf[offset:]
 
 
-def _step_block(v, xstar, x, g_old, g_new, alpha, y):
-    # out passed positionally: a keyword costs more to parse per call
-    np.multiply(g_old, alpha, y)
-    np.subtract(x, y, x)
-    np.subtract(x, xstar, g_new)
-    np.multiply(g_new, v, g_new)
-    np.subtract(g_new, g_old, y)
-    # ndarray.dot sums like @ on 1-d arrays, at less call overhead.
-    return (float(g_old.dot(y)), float(y.dot(y)), float(g_new.dot(g_new)),
-            g_new, g_old)
-
-
 def quad_step(v, xstar, x, g, spare, alpha, y):
     """Advance x by -alpha * g and write the new gradient into ``spare``.
 
@@ -109,15 +105,23 @@ def quad_step(v, xstar, x, g, spare, alpha, y):
     """
     n = x.shape[0]
     if n <= BLOCK:
-        return _step_block(v, xstar, x, g, spare, alpha, y)
+        # out passed positionally: a keyword costs more to parse per call
+        _multiply(g, alpha, y)
+        _subtract(x, y, x)
+        _subtract(x, xstar, spare)
+        _multiply(spare, v, spare)
+        _subtract(spare, g, y)
+        # ndarray.dot sums like @ on 1-d arrays, at less call overhead.
+        return (float(g.dot(y)), float(y.dot(y)), float(spare.dot(spare)),
+                spare, g)
     starts = range(0, n, BLOCK)
     # block i's new gradient goes where the block run before it was read
     backward = spare.ctypes.data > g.ctypes.data
     parts = []
     for lo in reversed(starts) if backward else starts:
         hi = min(lo + BLOCK, n)
-        parts.append(_step_block(v[lo:hi], xstar[lo:hi], x[lo:hi], g[lo:hi],
-                                 spare[lo:hi], alpha, y[:hi - lo]))
+        parts.append(_quad_step(v[lo:hi], xstar[lo:hi], x[lo:hi], g[lo:hi],
+                                spare[lo:hi], alpha, y[:hi - lo]))
     if backward:
         parts.reverse()
     gy = yy = gg = 0.0
@@ -126,3 +130,8 @@ def quad_step(v, xstar, x, g, spare, alpha, y):
         yy += b_yy
         gg += b_gg
     return gy, yy, gg, spare, g
+
+
+# The blocked path steps each block through this, not through the module
+# attribute, so a wrapper patched onto quad_step sees one call per step.
+_quad_step = quad_step

@@ -94,9 +94,14 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     no curvature, which its first non-finite g'g always brings about (its
     BB1 is 0 or nan); a g'g that underflows to 0 while g is not, which
     would pass the convergence test unmeasured, ends it there.  Statuses
-    report every overflow, so numpy's warning is off for the run.  The
-    loop looks up every kernel, stepsize and ``set_stepsize`` function
-    where it calls it, so that wrappers patched onto them see every call.
+    report every overflow, so numpy's warning is off for the run.
+
+    Wrappers patched onto ``kernels.quad_step``, ``alpha_new_bb``,
+    ``bbq_stepsize`` and ``sd_stepsize`` see every call, because the run
+    looks each up where it calls it.  The history's ``set_stepsize`` and
+    ``push`` are bound once per run, after the history is made, so a
+    wrapper patched onto ``GradientHistory`` before the run sees every
+    call, and one patched during it sees none.
     """
     t0 = time.perf_counter()
     h, xs = p.spectrum, p.x_star
@@ -144,32 +149,37 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         x[:] = x0
         return finish(STATUS_NONFINITE, f"steepest-descent step: {exc}")
     x[:] = x0
+    # bound once per run; the kernel and the stepsizes are looked up at
+    # each call
+    keep_trace, gamma, use_new = cfg.keep_trace, cfg.gamma, cfg.use_new_step
+    sqrt, nan = math.sqrt, math.nan
+    push, set_stepsize = hist.push, hist.set_stepsize
+    counts = rep.branch_counts
     while True:
         gg_old = gg
-        hist.set_stepsize(alpha)
+        set_stepsize(alpha)
         a0[()] = alpha
         gy, yy, gg, g, spare = kernels.quad_step(h, xs, x, g, spare, a0, y)
         it += 1
-        rep.count(branch)
+        counts[branch] = counts.get(branch, 0) + 1
         sy = -alpha * gy
-        new_bb1 = new_bb2 = math.nan
+        new_bb1 = new_bb2 = nan
         if sy > 0.0:
             new_bb1 = alpha * alpha * gg_old / sy
             if yy > 0.0:
                 new_bb2 = sy / yy
         if gg > 0.0:
-            hist.push(gg, new_bb1, new_bb2)
-        if cfg.keep_trace:
+            push(gg, new_bb1, new_bb2)
+        if keep_trace:
             rep.trace.append(TraceRecord(
-                k=it, stepsize=alpha, branch=branch, gnorm=math.sqrt(gg),
+                k=it, stepsize=alpha, branch=branch, gnorm=sqrt(gg),
                 fval=p.value_scale * float((x - xs).dot(g)),
                 bb1=new_bb1, bb2=new_bb2, tau=tau))
-        if math.sqrt(gg) <= gtol:
+        if sqrt(gg) <= gtol:
             return finish(STATUS_OK)
         if it >= MAX_ITER:
             return finish(STATUS_MAXITER, "iteration budget exhausted")
-        nxt, branch, tau = next_stepsize(hist, it + 1, tau, cfg.gamma,
-                                         cfg.use_new_step)
+        nxt, branch, tau = next_stepsize(hist, it + 1, tau, gamma, use_new)
         if nxt is None:
             if not math.isfinite(gg):
                 return finish(STATUS_NONFINITE,

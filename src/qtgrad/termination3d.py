@@ -408,7 +408,7 @@ def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,
     when the newest pair has no positive curvature; the caller restarts.
     """
     bb1, bb2 = hist.bb1[-1], hist.bb2[-1]
-    if not (math.isfinite(bb1) and bb1 > 0.0):
+    if not 0.0 < bb1 < _INF:
         return None, "nocurv", tau
     if k < 5:
         return bb1, "bb1", tau

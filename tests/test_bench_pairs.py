@@ -120,3 +120,24 @@ def test_parse_seeds(text, seeds):
 def test_parse_seeds_rejects(text, message):
     with pytest.raises(argparse.ArgumentTypeError, match=message):
         bench_pairs.parse_seeds(text)
+
+
+def test_a_pair_keeps_each_runs_unscaled_timings():
+    # perfbench's meta["unscaled"] holds the timings before the speed
+    # probe scales them
+    def run(us_scaled, us_unscaled, probe):
+        meta = {"commit": "abc", "unscaled": {"us_per_iter": us_unscaled,
+                                              "wall_s": 9.0},
+                "probe_s_median": probe, "probe_ref_s": 0.01}
+        res = {"correct": True, "attempted": 4, "failed": 0,
+               "metrics": {"us_per_iter": {"value": us_scaled, "unit": "us"}}}
+        return bench_pairs.run_entry(meta, res)
+
+    entry = run(5.0, 6.1, 0.012)
+    assert entry["metrics"] == {"us_per_iter": 5.0}
+    assert entry["unscaled"] == {"us_per_iter": 6.1, "wall_s": 9.0}
+    assert entry["probe_s_median"] == 0.012
+    runs = [{"parent": run(5.0, p, 0.01), "change": run(4.0, c, 0.01)}
+            for p, c in ((6.1, 5.8), (6.4, 5.7), (6.0, 5.9))]
+    assert bench_pairs.unscaled_median(runs, "parent", "us_per_iter") == 6.1
+    assert bench_pairs.unscaled_median(runs, "change", "us_per_iter") == 5.8

@@ -214,6 +214,24 @@ def test_loop_calls_patched_hooks(monkeypatch, solver):
         assert "alpha_new_bb" not in calls
 
 
+@pytest.mark.parametrize("solver", [solve_bb, solve_new])
+def test_blocked_kernel_is_one_patched_call_per_step(monkeypatch, solver):
+    # above BLOCK the kernel steps its blocks through a private alias, so
+    # a wrapper on the module attribute counts steps, not blocks
+    step, calls = kernels.quad_step, []
+
+    def wrapper(*args):
+        calls.append(args[2].size)
+        return step(*args)
+
+    monkeypatch.setattr(kernels, "quad_step", wrapper)
+    n = 2 * kernels.BLOCK + 7
+    p = generate(1, n, 1e2, seed=0)
+    rep = solver(p, starting_point(p, 0), QuadSolverConfig(eps=1e-6))
+    assert rep.status == STATUS_OK
+    assert calls == [n] * rep.iterations
+
+
 def test_rerun_is_bitwise_identical():
     p = generate(2, 40, 1e3, seed=7)
     x0 = starting_point(p, 0)
