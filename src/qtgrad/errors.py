@@ -17,9 +17,10 @@ class Degenerate(QtgradError):
     """A closed-form stepsize could not be formed from the history.
 
     Raised by the BBQ formula and by the three-dimensional stepsize and its
-    cubic root whenever a guard trips (tiny denominator, negative
-    discriminant, sigma too close to 1, g_r <= 0, failed cubic, nonpositive
-    result).  Callers drop down to a simpler stepsize, never abort the run.
+    largest root whenever a guard trips (tiny denominator, negative
+    discriminant, sigma too close to 1, g_r <= 0, no positive eigenvalue,
+    nonpositive result).  Callers drop down to a simpler stepsize, never
+    abort the run.
     """
 
 

@@ -12,23 +12,24 @@ the last three gradients.  Two independent routes produce H:
   no Hessian access at all.
 
 On a quadratic with exact history both routes give the same matrix up to
-roundoff.  The recurrence route runs in plain floats on the five entries
-of its tridiagonal H, and builds no object on the way: its scalars and
-entries are plain tuples, checked by chained comparisons.
-:func:`recurrence_scalars` and :func:`hmatrix_from_recurrence` wrap the
-same arithmetic in :class:`RecurrenceScalars` and :class:`HMatrix` for
-tests and inspection; :class:`HMatrix` also serves outside input and the
-direct route.  The two routes share one solver for the largest root, the
-trigonometric closed form for cubic roots, which reads tr H, tr(H^2) and
-det H and returns the root alone.  :func:`largest_root_quartic`
-solves a symmetric 4x4 by ``eigvalsh`` at the same scale; no solver takes
-a four-dimensional step.
+roundoff.  The recurrence route builds a2 H, a2 the stepsize taken at
+k - 2, from ratios of stepsizes and of gradient norms alone, so its five
+tridiagonal entries are O(1) at every Hessian scale and a history scaled
+as by a Hessian times 2^e gives them bit for bit.  It runs in plain
+floats on plain tuples, checked by chained comparisons, and takes the
+largest eigenvalue of a2 H by Newton's method on det(zI - a2 H),
+evaluated by the tridiagonal recurrence; the stepsize is a2 over it.
+:func:`recurrence_scalars` and :func:`hmatrix_from_recurrence` give the
+same arithmetic in the dimensional :class:`RecurrenceScalars` and
+:class:`HMatrix` for tests and inspection; :class:`HMatrix` also serves
+outside input and the direct route.  The direct route's 3x3 and the 4x4
+of :func:`largest_root_quartic` are solved by ``eigvalsh`` at A / 2^e;
+no solver takes a four-dimensional step.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,13 +41,12 @@ from .errors import Degenerate, LinearDependence
 _SYM_RTOL = 1e-12
 # Linear-dependence threshold of gram_schmidt3 and recurrence_scalars.
 TOL_DEP = 1e-10
-# |p| under this, relative to tr(H^2), means a triple eigenvalue.
-_P_TOL = 1e-12
 # Bound of the chained finiteness guards: -_INF < x < _INF fails on nan
 # and on either infinity.
 _INF = math.inf
-# Smallest normal float: a term of g_r or g_ar below it has lost bits.
-_TINY = sys.float_info.min
+# _largest_root scales T by a power of two unless its largest |entry| lies
+# here, where det(zI - T) stays far inside the normal range
+_SAFE_MIN, _SAFE_MAX = 1e-90, 1e90
 
 
 def _symmetric(entries, dim: int) -> np.ndarray:
@@ -64,8 +64,9 @@ def _symmetric(entries, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HMatrix:
-    """Finite symmetric 3x3 matrix, validated on construction; the cubic
-    solver reads its ``entries``, the acceptance gates its ``trace``."""
+    """Finite symmetric 3x3 matrix, validated on construction; the direct
+    route's eigensolver reads its ``entries``, the acceptance gates its
+    ``trace``."""
 
     entries: np.ndarray
 
@@ -78,7 +79,7 @@ class HMatrix:
 
 
 class CubicSolve(NamedTuple):
-    """Largest root of the 3x3 characteristic polynomial."""
+    """Largest eigenvalue of a symmetric 3x3."""
 
     largest_root: float
 
@@ -88,8 +89,9 @@ class RecurrenceScalars(NamedTuple):
 
     ``g_r`` and ``g_ar`` are the inner products g'r and g'(Ar) of the
     newest gradient with the third (unnormalized) Gram-Schmidt direction;
-    g_r must be positive for the matrix to exist, and no term of either
-    may fall below the normal float range.
+    g_r must be positive for the matrix to exist.  The recurrence forms
+    them, and delta, as ratios (:func:`_scalars`); these fields are the
+    dimensional values, converted back.
     """
 
     sigma: float
@@ -182,49 +184,6 @@ def project_hessian(u: np.ndarray, v: np.ndarray, r: np.ndarray,
     return HMatrix(h)
 
 
-def _largest_root(tr: float, tr2: float, det: float) -> float:
-    """Largest root of z^3 - tr z^2 + (tr^2 - tr2)/2 z - det = 0.
-
-    The characteristic cubic of a symmetric 3x3 from its trace, tr(H^2)
-    and det.  The shifted cubic has p = (tr^2 - 3 tr2) / 6, nonpositive
-    for symmetric input; when |p| <= _P_TOL tr2 all eigenvalues coincide
-    and the root is tr/3.  The arccos argument is clamped to [-1, 1] to
-    absorb roundoff at double eigenvalues.  Raises Degenerate on p > 0, a
-    residual above 1e-9 tr2^1.5 or a root <= 0, and OverflowError where a
-    float ``**`` overflows, which alpha_new_bb turns into Degenerate and
-    largest_root_cubic's scaling rules out.  Both tolerances scale with
-    tr2 = ||H||_F^2, so c H gives c times the root, even for an
-    indefinite H of trace 0.
-    """
-    p = (tr * tr - 3.0 * tr2) / 6.0
-    q = (5.0 * tr**3 - 9.0 * tr * tr2) / 54.0 - det
-    if abs(p) <= _P_TOL * abs(tr2):
-        root = tr / 3.0
-    else:
-        if p > 0.0:
-            raise Degenerate(f"shifted cubic has p = {p} > 0")
-        c = -(q / 2.0) * (3.0 / abs(p)) ** 1.5
-        theta = math.acos(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
-        root = tr / 3.0 + 2.0 * math.cos(theta / 3.0) * math.sqrt(abs(p) / 3.0)
-    residual = ((root - tr) * root + (tr * tr - tr2) / 2.0) * root - det
-    if not abs(residual) <= 1e-9 * tr2 ** 1.5:
-        raise Degenerate(f"cubic residual {residual} too large")
-    if not (math.isfinite(root) and root > 0.0):
-        raise Degenerate(f"largest root = {root}")
-    return root
-
-
-def _unit_scaled(a: np.ndarray):
-    """(a / 2^e, e) for a's largest |entry| f 2^e, f in [1/2, 1); e = 0 at 0.
-
-    The one scale rule of the small eigenproblems.  With the root times
-    2^e it is exact while nothing goes subnormal: c A gives c times the
-    root at every float scale, and no invariant overflows or underflows.
-    """
-    e = math.frexp(float(np.abs(a).max()))[1]
-    return np.ldexp(a, -e), e
-
-
 def _scaled_back(root: float, e: int) -> float:
     try:
         return math.ldexp(root, e)
@@ -232,30 +191,40 @@ def _scaled_back(root: float, e: int) -> float:
         raise Degenerate(f"largest root {root} * 2^{e} overflows") from None
 
 
-def largest_root_cubic(h: HMatrix) -> CubicSolve:
-    """Largest eigenvalue of a symmetric 3x3 via the trigonometric form.
+def _largest_eigenvalue(a: np.ndarray) -> float:
+    """Largest eigenvalue of the finite symmetric ``a``: ``eigvalsh`` of
+    a / 2^e times 2^e, for a's largest |entry| f 2^e, f in [1/2, 1).
 
-    Solves H / 2^e (:func:`_unit_scaled`), whose invariants cannot
-    overflow.  Raises Degenerate when the solve fails, or the root is not
-    positive or leaves the float range.
+    The one scale rule of the eigenproblems, exact while nothing goes
+    subnormal: c A gives c times the root at every float scale, and
+    nothing overflows or underflows on the way.  Degenerate where the
+    root times 2^e overflows.
     """
-    b, e = _unit_scaled(h.entries)
-    root = _largest_root(float(np.trace(b)), float(np.trace(b @ b)),
-                         float(np.linalg.det(b)))
-    return CubicSolve(_scaled_back(root, e))
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return _scaled_back(float(np.linalg.eigvalsh(np.ldexp(a, -e))[-1]), e)
+
+
+def largest_root_cubic(h: HMatrix) -> CubicSolve:
+    """Largest eigenvalue of a symmetric 3x3, by ``eigvalsh`` at H / 2^e.
+
+    c H gives c times the root at every float scale.  Raises Degenerate
+    when the root is not positive or leaves the float range.
+    """
+    root = _largest_eigenvalue(h.entries)
+    if not root > 0.0:
+        raise Degenerate(f"largest root = {root}")
+    return CubicSolve(root)
 
 
 def largest_root_quartic(entries) -> float:
-    """Largest eigenvalue of a symmetric 4x4, by ``eigvalsh``.
+    """Largest eigenvalue of a symmetric 4x4, by ``eigvalsh`` at A / 2^e.
 
     No solver calls this; it is the 4x4 counterpart of
-    :func:`largest_root_cubic` for outside input.  Solves A / 2^e
-    (:func:`_unit_scaled`), so c A gives c times the root at every float
-    scale.  Raises ValueError unless the input is a finite symmetric 4x4,
-    and Degenerate where the root overflows.
+    :func:`largest_root_cubic` for outside input, and returns a root of
+    any sign.  Raises ValueError unless the input is a finite symmetric
+    4x4, and Degenerate where the root overflows.
     """
-    a, e = _unit_scaled(_symmetric(entries, 4))
-    return _scaled_back(float(np.linalg.eigvalsh(a)[-1]), e)
+    return _largest_eigenvalue(_symmetric(entries, 4))
 
 
 def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,
@@ -265,11 +234,55 @@ def alpha_new_direct(u: np.ndarray, v: np.ndarray, r: np.ndarray,
         project_hessian(u, v, r, hess_vec)).largest_root
 
 
-def _scalars(hist: GradientHistory):
-    """The five fields of :class:`RecurrenceScalars` as a plain tuple.
+def _largest_root(h11, h12, h22, h23, h33):
+    """Largest eigenvalue of the symmetric tridiagonal T with diagonal
+    h11, h22, h33 and off-diagonal h12, h23, by Newton's method.
 
-    The one copy of the recurrence arithmetic; see
-    :func:`recurrence_scalars` for what it reads and when it raises.
+    f(z) = det(zI - T) and f'(z) come from the tridiagonal recurrence
+    f1 = z - h11, f2 = (z - h22) f1 - h12^2, f = (z - h33) f2 - h23^2 f1.
+    Newton starts at the Gershgorin bound, at or above every eigenvalue,
+    where f is increasing and convex, so each step moves z down toward the
+    largest root.  It stops when the slope is not positive (a multiple
+    root at the start) or when a step no longer decreases z.  Where T's
+    largest |entry| lies outside (_SAFE_MIN, _SAFE_MAX) it solves T / 2^e
+    as :func:`_largest_eigenvalue` does and scales the root back, so f
+    never overflows or underflows.  Raises Degenerate unless the root is
+    positive and finite.
+    """
+    a, b, c, s12, s23 = h11, h22, h33, abs(h12), abs(h23)
+    big = max(abs(a), s12, abs(b), s23, abs(c))
+    e = 0
+    if not _SAFE_MIN < big < _SAFE_MAX:
+        e = math.frexp(big)[1]
+        a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+        s12, s23 = math.ldexp(s12, -e), math.ldexp(s23, -e)
+    z = max(a + s12, b + s12 + s23, c + s23)
+    s12 *= s12
+    s23 *= s23
+    while True:
+        za, zb, zc = z - a, z - b, z - c
+        f2 = zb * za - s12
+        slope = f2 + zc * (za + zb) - s23
+        if not slope > 0.0:
+            break
+        step = z - (zc * f2 - s23 * za) / slope
+        if not step < z:
+            break
+        z = step
+    if not 0.0 < z < _INF:
+        raise Degenerate(f"largest root = {z} * 2^{e}")
+    return _scaled_back(z, e) if e else z
+
+
+def _scalars(hist: GradientHistory):
+    """(sigma, d, gamma, gr, gar, u, p1, p2, w): the one copy of the
+    recurrence arithmetic, in ratios of stepsizes and of gradient norms.
+
+    With a_j the stepsize taken at k - j, b_j BB1 and n_j g'g there:
+    d = a2 delta, gr = g_r / n2, gar = a2 g_ar / n2, u = a2 / a3,
+    p_j = a2 / b_j and w = n2 / n3.  A history scaled as by a Hessian
+    times 2^e gives the same values exactly while nothing goes subnormal.
+    See :func:`recurrence_scalars` for when it raises.
     """
     a3, a2 = hist.stepsize[0], hist.stepsize[1]   # taken at k-3, k-2
     _, b2, b1, b0 = hist.bb1                        # BB1 at k-2, k-1, k
@@ -282,34 +295,23 @@ def _scalars(hist: GradientHistory):
     zeta = t * n3 / n2
     if abs(zeta) <= TOL_DEP:
         raise Degenerate(f"zeta = {zeta}")
+    u, p2, p1, p0 = a2 / a3, a2 / b2, a2 / b1, a2 / b0
+    r, w = n1 / n2, n2 / n3
     sigma = t * zeta
     if sigma >= 1.0 - TOL_DEP:
         raise Degenerate(f"sigma = {sigma}")
-    delta = (1.0 - 1.0 / zeta) / a3
-    gamma = 1.0 - (a2 / (1.0 - sigma)) * (1.0 / b1 - sigma * delta)
-    r_n2 = (sigma * (1.0 - a2 * delta) ** 2
-            + gamma * gamma * (1.0 - sigma)) * n2
-    g_r = n1 - r_n2
-    lead = gamma - (1.0 - a2 * delta)
-    varsigma = ((lead / b2 - gamma / a2) * (1.0 - a2 / b1)
-                - (lead / a3) * gamma * (1.0 - sigma))
-    ar_n1 = (1.0 / b0 + gamma / a2) * n1
-    ar_n2 = varsigma * n2
-    g_ar = ar_n1 + ar_n2
-    out = sigma, delta, gamma, g_r, g_ar
-    if not (-_INF < sigma < _INF and -_INF < delta < _INF
-            and -_INF < gamma < _INF and -_INF < g_r < _INF
-            and -_INF < g_ar < _INF):
-        raise Degenerate(f"nonfinite recurrence scalars: {out}")
-    # a term under the normal range has lost bits; g_r's scale as the
-    # Hessian's scale squared and g_ar's as its cube, so they go there
-    # first.  A sum of normal terms is exact where it is subnormal or 0.
-    if (n1 < _TINY or -_TINY < r_n2 < _TINY or -_TINY < ar_n1 < _TINY
-            or -_TINY < ar_n2 < _TINY):
-        raise Degenerate(f"g_r, g_ar = {g_r}, {g_ar}: terms "
-                         f"{n1}, {r_n2}, {ar_n1}, {ar_n2} under the normal "
-                         "range")
-    return out
+    d = (1.0 - 1.0 / zeta) * u
+    gamma = 1.0 - (p1 - sigma * d) / (1.0 - sigma)
+    gr = r - sigma * (1.0 - d) * (1.0 - d) - gamma * gamma * (1.0 - sigma)
+    lead = gamma - (1.0 - d)
+    gar = ((p0 + gamma) * r + (lead * p2 - gamma) * (1.0 - p1)
+           - lead * u * gamma * (1.0 - sigma))
+    if not (-_INF < sigma < _INF and -_INF < d < _INF
+            and -_INF < gamma < _INF and -_INF < gr < _INF
+            and -_INF < gar < _INF):
+        raise Degenerate(f"nonfinite recurrence scalars: "
+                         f"{(sigma, d, gamma, gr, gar)}")
+    return sigma, d, gamma, gr, gar, u, p1, p2, w
 
 
 def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
@@ -317,60 +319,46 @@ def recurrence_scalars(hist: GradientHistory) -> RecurrenceScalars:
 
     With the newest iterate at index k, uses the stepsizes taken at k-3
     and k-2, BB1 values at k-2, k-1 and k, and the three older gradient
-    norms.  Raises Degenerate when any required scalar is missing (nan,
-    also for a history of fewer than four iterates) or nonpositive, when
-    zeta vanishes (consecutive gradients nearly orthogonal, so delta is
-    unbounded), when sigma reaches 1 (consecutive gradients nearly
-    parallel), or when a term of g_r or g_ar falls below the normal float
-    range (``sys.float_info.min``): g_r's terms scale with the square of
-    the Hessian's scale and g_ar's with its cube, so they go subnormal
-    first, and a subnormal term has lost the bits H is built from.  A
-    g_r or g_ar that is subnormal or 0 as the sum of normal terms is
-    exact, and is kept.  An overflowing float ``**`` raises
-    OverflowError, which alpha_new_bb turns into Degenerate.
+    norms.  Raises Degenerate when any required stepsize or BB1 value is
+    missing (nan, also for a history of fewer than four iterates) or
+    nonpositive, when zeta vanishes (consecutive gradients nearly
+    orthogonal, so delta is unbounded), when sigma reaches 1
+    (consecutive gradients nearly parallel), or when a scalar is not
+    finite.  The recurrence forms them dimensionless (:func:`_scalars`);
+    this converts back: delta = d / a2, g_r = gr n2 and
+    g_ar = gar n2 / a2.
     """
-    return RecurrenceScalars._make(_scalars(hist))
+    sigma, d, gamma, gr, gar = _scalars(hist)[:5]
+    a2, n2 = hist.stepsize[1], hist.gnorm_sq[1]
+    return RecurrenceScalars(sigma, d / a2, gamma, gr * n2, gar * n2 / a2)
 
 
-def _recurrence_entries(scal, hist: GradientHistory):
-    """(h11, h12, h22, h23, h33) of H, h13 = 0; needs g_r > 0, sigma < 1.
-
-    ``scal`` holds the five recurrence scalars in the order of
-    :class:`RecurrenceScalars`, as that tuple or a plain one.
-    """
-    sigma, delta, gamma, g_r, g_ar = scal
-    if not g_r > 0.0:
-        raise Degenerate(f"g_r = {g_r}")
-    if not sigma < 1.0:
-        raise Degenerate(f"sigma = {sigma}")
-    a3, a2 = hist.stepsize[0], hist.stepsize[1]
-    b2, b1 = hist.bb1[1], hist.bb1[2]
-    norm3 = math.sqrt(hist.gnorm_sq[0])
-    norm2 = math.sqrt(hist.gnorm_sq[1])
+def _scaled_entries(hist: GradientHistory):
+    """(h11, h12, h22, h23, h33) of a2 H, h13 = 0; needs g_r > 0."""
+    sigma, d, gamma, gr, gar, u, p1, p2, w = _scalars(hist)
+    if not gr > 0.0:
+        raise Degenerate(f"g_r / g'g at k-2 = {gr}")
     one_minus = 1.0 - sigma
-    h11 = 1.0 / b2
-    h12 = -math.sqrt(one_minus) * norm2 / (a3 * norm3)
-    h22 = (1.0 / b1 - 2.0 * sigma * delta + sigma / b2) / one_minus
-    h23 = -math.sqrt(g_r) / (a2 * norm2 * math.sqrt(one_minus))
-    h33 = g_ar / g_r + gamma / a2
+    h11 = p2
+    h12 = -math.sqrt(one_minus) * u * math.sqrt(w)
+    h22 = (p1 - 2.0 * sigma * d + sigma * p2) / one_minus
+    h23 = -math.sqrt(gr) / math.sqrt(one_minus)
+    h33 = gar / gr + gamma
     entries = h11, h12, h22, h23, h33
     if not (-_INF < h11 < _INF and -_INF < h12 < _INF and -_INF < h22 < _INF
             and -_INF < h23 < _INF and -_INF < h33 < _INF):
-        raise Degenerate(f"nonfinite H entries: {entries}")
+        raise Degenerate(f"nonfinite a2 H entries: {entries}")
     return entries
-
-
-def _tridiagonal_invariants(h11, h12, h22, h23, h33):
-    """(tr H, tr(H^2), det H) of the symmetric tridiagonal H."""
-    return (h11 + h22 + h33,
-            h11 * h11 + h22 * h22 + h33 * h33 + 2.0 * (h12 * h12 + h23 * h23),
-            h11 * (h22 * h33 - h23 * h23) - h12 * h12 * h33)
 
 
 def hmatrix_from_recurrence(scal: RecurrenceScalars,
                             hist: GradientHistory) -> HMatrix:
-    """Assemble H from the recurrence scalars; needs g_r > 0."""
-    h11, h12, h22, h23, h33 = _recurrence_entries(scal, hist)
+    """H as alpha_new_bb solves it: the entries of a2 H over a2.
+
+    ``scal`` is not read; the acceptance gates pass it.  Needs g_r > 0.
+    """
+    a2 = hist.stepsize[1]
+    h11, h12, h22, h23, h33 = (h / a2 for h in _scaled_entries(hist))
     return HMatrix(np.array([[h11, h12, 0.0], [h12, h22, h23],
                              [0.0, h23, h33]]))
 
@@ -378,17 +366,13 @@ def hmatrix_from_recurrence(scal: RecurrenceScalars,
 def alpha_new_bb(hist: GradientHistory) -> float:
     """Three-dimensional quadratic-termination stepsize, recurrence route.
 
-    Plain float arithmetic on a plain tuple of scalars.  Every failure
-    (short history, degenerate scalars or subnormal terms, g_r <= 0,
-    indefinite or ill-posed H, a float ``**`` that overflows, as tr^3
-    does above |tr| ~ 5.6e102) surfaces as Degenerate so callers have a
-    single fallback path.
+    a2 / lambda_max(a2 H), in plain floats on a plain tuple of ratios, so
+    a history scaled as by a Hessian times 2^e gives the stepsize over
+    2^e exactly.  Every failure (short history, degenerate scalars,
+    g_r <= 0, no positive eigenvalue) surfaces as Degenerate so callers
+    have a single fallback path.
     """
-    try:
-        entries = _recurrence_entries(_scalars(hist), hist)
-        return 1.0 / _largest_root(*_tridiagonal_invariants(*entries))
-    except OverflowError as exc:
-        raise Degenerate(f"overflow: {exc}") from None
+    return hist.stepsize[1] / _largest_root(*_scaled_entries(hist))
 
 
 def next_stepsize(hist: GradientHistory, k: int, tau: float, gamma: float,

@@ -403,15 +403,31 @@ def test_new_step_does_not_depend_on_the_hessian_scale():
         assert mean_iterations(c) <= 1.5 * base
 
 
-def test_new_step_overflowing_in_the_cubic_falls_back():
-    # tr(H) is about 2e104, so tr^3 overflows; the OverflowError of the
-    # Python float power used to escape solve_new
+def test_new_step_at_a_hessian_scale_of_1e100():
+    # tr(H) is about 2e104; the dimensional recurrence's tr^3 overflowed
+    # there, first escaping solve_new as OverflowError and later leaving
+    # every short step to the BB2 minimum.  a2 H does not depend on the
+    # scale
     p = generate(4, 20, 1e4, seed=0)
     q = QuadraticProblem(p.spectrum * 1e100, p.x_star / 1e100)
     rep = solve_new(q, starting_point(p, 0) / 1e100)
     assert rep.status == STATUS_OK
-    assert rep.branch_counts["short_bb2"] > 0
-    assert "short_new" not in rep.branch_counts
+    assert rep.branch_counts["short_new"] > 0
+
+
+@pytest.mark.parametrize("e", [-300, -100, 100, 300])
+def test_new_step_run_is_exact_under_power_of_two_hessian_scales(e):
+    # the spectrum times 2^e scales every gradient by 2^e and every
+    # stepsize by 2^-e exactly, so the run is the same run
+    p = generate(4, 100, 1e4, seed=0)
+    q = QuadraticProblem(np.ldexp(p.spectrum, e), p.x_star)
+    cfg = QuadSolverConfig(eps=1e-8)
+    for start in range(3):
+        x0 = starting_point(p, start)
+        base, rep = solve_new(p, x0, cfg), solve_new(q, x0, cfg)
+        assert (rep.iterations, rep.status, rep.branch_counts) == (
+            base.iterations, base.status, base.branch_counts)
+        assert rep.final_gnorm == math.ldexp(base.final_gnorm, e)
 
 
 @pytest.mark.parametrize("n", [100, 2 * kernels.BLOCK + 7])

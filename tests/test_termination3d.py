@@ -21,7 +21,6 @@ from qtgrad.termination3d import (
     next_stepsize,
     project_hessian,
     recurrence_scalars,
-    _tridiagonal_invariants,
 )
 
 
@@ -116,15 +115,15 @@ def test_hmatrix_trace():
 
 
 def test_direct_route_takes_one_determinant(monkeypatch):
-    # HMatrix computes no invariants, and the cubic solver reads those
-    # of H / 2^e
-    det, calls = np.linalg.det, []
+    # HMatrix computes nothing, and the direct route solves H / 2^e by
+    # one eigvalsh
+    eigvalsh, calls = np.linalg.eigvalsh, []
 
     def spy(a):
         calls.append(a.shape)
-        return det(a)
+        return eigvalsh(a)
 
-    monkeypatch.setattr(np.linalg, "det", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     u, v, r = np.eye(3)
     alpha = alpha_new_direct(u, v, r, lambda d: np.array([1.0, 2.0, 4.0]) * d)
     assert alpha == pytest.approx(0.25, rel=1e-15)
@@ -135,8 +134,7 @@ def test_direct_route_takes_one_determinant(monkeypatch):
 
 
 def test_cubic_identity_matrix_hits_safeguard():
-    # p is 0.0 for 3I, and only the safeguard's tr/3 returns without
-    # dividing by |p|
+    # a triple eigenvalue, where the trigonometric cubic divides by 0
     assert largest_root_cubic(HMatrix(np.eye(3) * 3.0)).largest_root == 3.0
 
 
@@ -267,6 +265,65 @@ def test_cubic_rejects_4x4():
         HMatrix(np.eye(4))
 
 
+# eigvalsh's largest eigenvalue of a random tridiagonal is off by up to
+# about 7 eps max|entry| (measured against exact rational bisection),
+# Newton's by under 2
+ROOT_TOL = 8.0 * np.finfo(float).eps
+
+
+def _tridiagonal(h11, h12, h22, h23, h33):
+    return np.array([[h11, h12, 0.0], [h12, h22, h23], [0.0, h23, h33]])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tridiagonal_invariants_match_hmatrix(seed):
+    # the one invariant the recurrence route computes, the largest
+    # eigenvalue, from the five entries by Newton and from the HMatrix of
+    # the same entries by eigvalsh
+    rng = np.random.default_rng(500 + seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    entries = rng.uniform(-10.0, 10.0, 5) * scale
+    h = HMatrix(_tridiagonal(*entries))
+    tol = ROOT_TOL * float(np.abs(h.entries).max())
+    try:
+        top = largest_root_cubic(h).largest_root
+    except Degenerate:
+        top = 0.0
+    if top <= tol:
+        with pytest.raises(Degenerate):
+            termination3d._largest_root(*entries)
+    else:
+        assert abs(termination3d._largest_root(*entries) - top) <= tol
+
+
+def _lanczos(spectrum, start):
+    """The 3x3 tridiagonal of diag(spectrum) from ``start``, as its five
+    entries; three steps, each new vector orthogonalized twice against
+    the earlier ones."""
+    q = np.zeros((3, 3))
+    q[:, 0] = start / np.linalg.norm(start)
+    diag, off = [], []
+    for j in range(3):
+        w = spectrum * q[:, j]
+        diag.append(float(q[:, j] @ w))
+        if j == 2:
+            break
+        for _ in range(2):
+            w = w - q[:, :j + 1] @ (q[:, :j + 1].T @ w)
+        off.append(float(np.linalg.norm(w)))
+        q[:, j + 1] = w / off[-1]
+    return diag[0], off[0], diag[1], off[1], diag[2]
+
+
+def test_largest_root_of_an_indefinite_tridiagonal():
+    # a solver history gave a2 H this spectrum; the trigonometric cubic
+    # read tr H, tr(H^2) and det H, whose roundoff of about eps ||H||^3
+    # swamped the root: 7.6 times the largest eigenvalue from this start
+    spectrum = np.array([-802.4, 8.6e-11, 4.6e-7])
+    root = termination3d._largest_root(*_lanczos(spectrum, np.ones(3)))
+    assert abs(root - 4.6e-7) <= 4.0 * np.finfo(float).eps * 802.4
+
+
 # ------------------------------------------------------ stepsize routes
 
 
@@ -385,19 +442,6 @@ def test_alpha_new_routes_agree():
         assert 1.0 / lam.max() - 1e-12 <= a_rec <= 1.0 / lam.min() + 1e-12
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_tridiagonal_invariants_match_hmatrix(seed):
-    rng = np.random.default_rng(500 + seed)
-    scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    h11, h12, h22, h23, h33 = rng.uniform(-10.0, 10.0, 5) * scale
-    a = np.array([[h11, h12, 0.0], [h12, h22, h23], [0.0, h23, h33]])
-    tr, tr2, det = _tridiagonal_invariants(h11, h12, h22, h23, h33)
-    scale = float(np.abs(a).max())   # entry scale for the abs slack
-    assert tr == pytest.approx(np.trace(a), rel=1e-14, abs=1e-14 * scale)
-    assert tr2 == pytest.approx(np.trace(a @ a), rel=1e-14)
-    assert det == pytest.approx(np.linalg.det(a), rel=1e-12, abs=1e-13 * scale**3)
-
-
 def _solver_histories(kappa, set_ids=quadprob.SET_IDS, sizes=(20, 100, 1000),
                       starts=4, eps=QuadSolverConfig.eps):
     """Copies of every history solve_new hands to alpha_new_bb.
@@ -439,8 +483,8 @@ def _matrix_route_step(hist):
 
 @pytest.mark.parametrize("kappa, rel", [(1e2, 1e-12), (1e4, 1e-8), (1e6, 1e-8)])
 def test_float_core_matches_matrix_route(kappa, rel):
-    # the float path and the HMatrix/LAPACK path differ only in roundoff
-    # of tr(H^2) and det H; on solver histories they must agree
+    # both paths solve the same a2 H entries, by Newton on the
+    # tridiagonal and by eigvalsh; on solver histories they must agree
     hists = _solver_histories(kappa)
     assert len(hists) > 1000
     for hist in hists:
@@ -473,31 +517,30 @@ def _scaled_history(hist, e):
     return out
 
 
-def test_recurrence_accepts_no_step_from_underflowed_terms():
-    # with the Hessian times c, g_r's terms scale as c^2 and g_ar's as
-    # c^3: from c = 2^-340 some of g_ar's fall under the normal range, and
-    # steps up to 12.6x wrong were accepted.  A step is Degenerate or the
-    # one of c = 1 over c, up to the cubic's pow(., 1.5), which is not
-    # exact under scaling (1 to 2 ulp).  A g_ar that is subnormal as the
-    # exact sum of normal terms keeps its step.
+def _read_slots(hist):
+    """The history slots alpha_new_bb reads."""
+    return hist.gnorm_sq[:3] + hist.stepsize[:2] + hist.bb1[1:]
+
+
+def test_recurrence_step_is_exact_under_power_of_two_scales():
+    # a2 H is built from ratios of stepsizes and of gradient norms, so the
+    # Hessian times 2^e gives the same entries and the step over 2^e, bit
+    # for bit, wherever the slots read stay normal; the dimensional
+    # recurrence lost bits from about 2^-340 and overflowed from 2^324
     hists = _solver_histories(1e4, set_ids=(4,), sizes=(100,), starts=3,
                               eps=1e-8)
     assert len(hists) > 1000
-    degenerate = subnormal_kept = 0
-    for hist in hists:
+    checked = 0
+    for hist in hists[::10]:
         alpha = alpha_new_bb(hist)
-        for e in [-200, 0, 300] + list(range(-360, -329)):
+        for e in range(-480, 481):
             scaled = _scaled_history(hist, e)
-            try:
-                got = alpha_new_bb(scaled)
-            except Degenerate:
-                degenerate += 1
+            if not all(sys.float_info.min <= v < math.inf
+                       for v in _read_slots(scaled)):
                 continue
-            assert got == pytest.approx(math.ldexp(alpha, -e), rel=1e-15,
-                                        abs=0.0)
-            if abs(recurrence_scalars(scaled).g_ar) < sys.float_info.min:
-                subnormal_kept += 1
-    assert degenerate > 10000 and subnormal_kept > 1000
+            assert alpha_new_bb(scaled) == math.ldexp(alpha, -e)
+            checked += 1
+    assert checked > 90000
 
 
 # ------------------------------------------------------- adaptive rule
