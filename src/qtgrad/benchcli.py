@@ -16,9 +16,9 @@ Four verbs:
 in ``_UNUSED``, and for ``uncbench`` more than one seed, since its test
 functions each have one fixed start).  A grid is checked whole before
 its first cell runs, and no list in it may hold a value twice.  A cell
-is one (method, problem) with all its eps values and seeds: (method,
-set, n, kappa) for ``quadbench``, (method, function) for ``uncbench``
-and (method, kappa) for ``verify3d``.
+is one problem with all its methods, eps values and seeds: (set, n,
+kappa) for ``quadbench``, a function for ``uncbench`` and a kappa for
+``verify3d``; its methods share the problem and each start.
 
 The run verbs write ``<out>_runs.csv`` (one row per run) and
 ``<out>_agg.csv`` (per-cell means over solved runs); ``--trace`` adds
@@ -224,12 +224,10 @@ def _solver_config(exp, method, eps, tau1, gamma, trace=False):
                            keep_trace=trace, **kw)
 
 
-def _run_cell(spec: ExperimentSpec, method, problem):
-    """Run one (method, problem) cell over its eps values and seeds.
-
-    ``problem`` is a (set, n, kappa) triple, or for uncbench a test
-    function.  Returns the run rows and trace rows.
-    """
+def _run_cell(spec: ExperimentSpec, problem):
+    """The run rows and trace rows of one problem's methods, eps values and
+    seeds.  ``problem`` is a (set, n, kappa) triple, or for uncbench a
+    test function; the methods share it and each start."""
     exp, trace = spec.experiment, spec.trace
     if exp == "uncbench":
         set_key, n, kappa = problem.name, problem.x0.size, 0.0
@@ -237,26 +235,28 @@ def _run_cell(spec: ExperimentSpec, method, problem):
         set_key, n, kappa = problem
     if exp == "quadbench":
         p = quadprob.generate(set_key, n, kappa, PROBLEM_SEED)
+    cfgs = {} if exp == "verify3d" else {
+        (m, eps): _solver_config(exp, m, eps, spec.tau1, spec.gamma, trace)
+        for m in spec.methods for eps in spec.epss}
     rows, traces = [], []
-    for eps in spec.epss:
-        if exp != "verify3d":
-            cfg = _solver_config(exp, method, eps, spec.tau1, spec.gamma,
-                                 trace)
-        for seed in range(spec.seeds):
-            if exp == "verify3d":
-                rep = verify_3d_termination(kappa, method, seed,
-                                            keep_trace=trace)
-            elif exp == "uncbench":
-                rep = solve(problem, cfg=cfg)
-            elif method == "bb":
-                rep = solve_bb(p, quadprob.starting_point(p, seed), cfg)
-            else:
-                rep = solve_new(p, quadprob.starting_point(p, seed), cfg)
-            row = _report_row(rep, set_key, n, kappa, eps, seed)
-            rows.append(row)
-            if trace:
-                key = {c: row[c] for c in ROW_KEY}
-                traces += [{**key, **vars(t)} for t in rep.trace]
+    for seed in range(spec.seeds):
+        if exp == "quadbench":
+            x0 = quadprob.starting_point(p, seed)
+        for method in spec.methods:
+            for eps in spec.epss:
+                if exp == "verify3d":
+                    rep = verify_3d_termination(kappa, method, seed,
+                                                keep_trace=trace)
+                elif exp == "uncbench":
+                    rep = solve(problem, cfg=cfgs[method, eps])
+                else:
+                    solver = solve_bb if method == "bb" else solve_new
+                    rep = solver(p, x0, cfgs[method, eps])
+                row = _report_row(rep, set_key, n, kappa, eps, seed)
+                rows.append(row)
+                if trace:
+                    key = {c: row[c] for c in ROW_KEY}
+                    traces += [{**key, **vars(t)} for t in rep.trace]
     return rows, traces
 
 
@@ -305,10 +305,10 @@ def _write_csv(path, columns, rows):
 def run_experiment(spec: ExperimentSpec):
     """Run every cell of the grid and write the run and aggregate CSVs.
 
-    Returns the two paths.  Each cell runs one problem's eps values and
-    seeds, in one loop in this process; the cells' rows are flattened
-    and sorted before writing, because the spec's lists and the suite
-    need not come in row order.
+    Returns the two paths.  Each cell runs one problem's methods, eps
+    values and seeds, in one loop in this process; the cells' rows are
+    flattened and sorted before writing, because neither the cells nor
+    the spec's lists and the suite come in row order.
     """
     out_dir = os.path.dirname(spec.out) or "."
     if not os.path.isdir(out_dir):
@@ -318,8 +318,7 @@ def run_experiment(spec: ExperimentSpec):
     else:
         problems = [(s, n, kappa) for s in spec.sets for n in spec.ns
                     for kappa in spec.kappas]
-    results = [_run_cell(spec, method, problem)
-               for method in spec.methods for problem in problems]
+    results = [_run_cell(spec, problem) for problem in problems]
     rows = [r for rs, _ in results for r in rs]
     traces = [t for _, ts in results for t in ts]
     if spec.zero_times:

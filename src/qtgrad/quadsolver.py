@@ -99,9 +99,10 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     Wrappers patched onto ``kernels.quad_step``, ``alpha_new_bb``,
     ``bbq_stepsize`` and ``sd_stepsize`` see every call, because the run
     looks each up where it calls it.  The history's ``set_stepsize`` and
-    ``push`` are bound once per run, after the history is made, so a
-    wrapper patched onto ``GradientHistory`` before the run sees every
-    call, and one patched during it sees none.
+    ``advance`` are bound once per run, after the history is made, so a
+    wrapper patched onto either before the run sees every call, and one
+    patched during it sees none; ``advance`` calls ``push``, so a wrapper
+    patched onto ``GradientHistory.push`` sees every push.
     """
     t0 = time.perf_counter()
     h, xs = p.spectrum, p.x_star
@@ -152,8 +153,8 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
     # bound once per run; the kernel and the stepsizes are looked up at
     # each call
     keep_trace, gamma, use_new = cfg.keep_trace, cfg.gamma, cfg.use_new_step
-    sqrt, nan = math.sqrt, math.nan
-    push, set_stepsize = hist.push, hist.set_stepsize
+    sqrt = math.sqrt
+    advance, set_stepsize = hist.advance, hist.set_stepsize
     counts = rep.branch_counts
     while True:
         gg_old = gg
@@ -162,14 +163,8 @@ def _solve(p: quadprob.QuadraticProblem, x0, cfg: QuadSolverConfig,
         gy, yy, gg, g, spare = kernels.quad_step(h, xs, x, g, spare, a0, y)
         it += 1
         counts[branch] = counts.get(branch, 0) + 1
-        sy = -alpha * gy
-        new_bb1 = new_bb2 = nan
-        if sy > 0.0:
-            new_bb1 = alpha * alpha * gg_old / sy
-            if yy > 0.0:
-                new_bb2 = sy / yy
-        if gg > 0.0:
-            push(gg, new_bb1, new_bb2)
+        new_bb1, new_bb2 = advance(gg, alpha * alpha * gg_old, -alpha * gy,
+                                   yy)
         if keep_trace:
             rep.trace.append(TraceRecord(
                 k=it, stepsize=alpha, branch=branch, gnorm=sqrt(gg),
@@ -231,10 +226,9 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     Reports ||g|| and f at the ninth iterate.
 
     After each step the run forms s's, s'y and y'y of s = -alpha g and
-    y = g_new - g, and from them the floats BB1 = s's/s'y,
-    BB2 = s'y/y'y and DAY = sqrt(s's/y'y) of that pair, keeping BB1 and
-    BB2 of the pair before it for the BBQ step.  A value is nan where it
-    is undefined: BB1 and BB2 need s'y > 0, BB2 and DAY need y'y != 0.
+    y = g_new - g, DAY = sqrt(s's/y'y) (nan unless y'y != 0) and, in a
+    ``GradientHistory`` whose last two pairs the BBQ step reads, that
+    pair's BB1 and BB2 (:meth:`GradientHistory.advance`).
     A base step whose value is undefined, or a Degenerate special step,
     ends the run with status "degenerate" rather than substituting
     another stepsize; a gradient that is not finite at any iterate, or an
@@ -248,11 +242,12 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
     rep = RunReport(method=method)
     t0 = time.perf_counter()
     g = quadprob.gradient(p, x)
+    gg = float(g @ g)
     rep.ngrad = 1
     early_grads: list[np.ndarray] = [g.copy()]
-    # BB values of the pair ending at the current iterate, and BB1 and
-    # BB2 of the pair before it; nan where undefined or not yet formed
-    bb1 = bb2 = day = bb1_prev = bb2_prev = math.nan
+    # the BB values of the pairs so far, and DAY of the last one
+    hist = GradientHistory()
+    day = math.nan
     special = method != "bb1"
 
     def finish(status: str, message: str = "") -> RunReport:
@@ -264,7 +259,6 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
         return rep
 
     for k in range(1, 10):
-        gg = float(g @ g)
         if not math.isfinite(gg):
             return finish(STATUS_NONFINITE, f"gradient not finite at k={k}")
         if k == 9 or gg == 0.0:
@@ -279,11 +273,12 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
                 alpha = alpha_new_direct(u, v, r, lambda d: quadprob.hess_vec(p, d))
                 branch = "new3d"
             elif special and k == 6:
-                alpha = bbq_stepsize(bb1_prev, bb1, bb2_prev, bb2)
+                alpha = bbq_stepsize(hist.bb1[-2], hist.bb1[-1],
+                                     hist.bb2[-2], hist.bb2[-1])
                 branch = "bbq"
             else:
                 alpha = (day if method == "day3d" else
-                         bb2 if method == "bb23d" else bb1)
+                         hist.bb2[-1] if method == "bb23d" else hist.bb1[-1])
                 if math.isnan(alpha):
                     raise Degenerate(f"{method} base stepsize is undefined")
                 branch = "base"
@@ -298,12 +293,11 @@ def verify_3d_termination(kappa: float, method: str, seed: int,
         rep.count(branch)
         s = -alpha * g
         y = g_new - g
-        ss, sy, yy = float(s @ s), float(s @ y), float(y @ y)
-        bb1_prev, bb2_prev = bb1, bb2
-        bb1 = ss / sy if sy > 0.0 else math.nan
-        bb2 = sy / yy if sy > 0.0 and yy != 0.0 else math.nan
-        day = math.sqrt(ss / yy) if yy != 0.0 else math.nan
+        ss, yy = float(s @ s), float(y @ y)
         g = g_new
+        gg = float(g @ g)
+        hist.advance(gg, ss, float(s @ y), yy)
+        day = math.sqrt(ss / yy) if yy != 0.0 else math.nan
         if len(early_grads) < 3:
             early_grads.append(g.copy())
         if keep_trace:

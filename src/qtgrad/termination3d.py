@@ -121,7 +121,7 @@ class GradientHistory:
     def push(self, gnorm_sq: float, bb1: float = math.nan,
              bb2: float = math.nan) -> None:
         """Drop the oldest iterate and append a new one, stepsize unset.
-        Unchecked: both solvers push Python floats, and only when g'g > 0."""
+        Unchecked: ``advance`` pushes Python floats, and only when g'g > 0."""
         # unrolled: a loop over (slot, value) pairs costs twice as much
         s = self.gnorm_sq
         del s[0]
@@ -139,6 +139,19 @@ class GradientHistory:
     def set_stepsize(self, stepsize: float) -> None:
         """Record the stepsize taken from the newest iterate."""
         self.stepsize[-1] = float(stepsize)
+
+    def advance(self, gnorm_sq: float, ss: float, sy: float, yy: float):
+        """Push the iterate a step reached, if its g'g > 0, with the step's
+        BB1 = s's/s'y and BB2 = s'y/y'y: both nan unless s'y > 0, BB2 also
+        unless y'y > 0.  Returns (BB1, BB2) for trace rows."""
+        bb1 = bb2 = math.nan
+        if sy > 0.0:
+            bb1 = ss / sy
+            if yy > 0.0:
+                bb2 = sy / yy
+        if gnorm_sq > 0.0:
+            self.push(gnorm_sq, bb1, bb2)
+        return bb1, bb2
 
 
 def gram_schmidt3(a: np.ndarray, b: np.ndarray, c: np.ndarray):

@@ -302,16 +302,9 @@ def solve(f: ObjectiveFn, x0=None, cfg: UncSolverConfig | None = None) -> RunRep
         rep.count(branch)
         s = x_new - x
         y = g_new - g
-        sy = float(s.dot(y))
-        new_bb1 = new_bb2 = math.nan
-        if sy > 0.0:
-            new_bb1 = float(s.dot(s)) / sy
-            yy = float(y.dot(y))
-            if yy > 0.0:
-                new_bb2 = sy / yy
+        new_bb1, new_bb2 = hist.advance(gg_new, float(s.dot(s)),
+                                        float(s.dot(y)), float(y.dot(y)))
         x, g, gg, fval = x_new, g_new, gg_new, f_new
-        if gg > 0.0:
-            hist.push(gg, new_bb1, new_bb2)
         ref = update_reference(ref, fval)
         if trace is not None:
             trace.append(TraceRecord(

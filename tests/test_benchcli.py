@@ -340,20 +340,33 @@ def test_grid_rows_match_direct_solves(tmp_path, monkeypatch):
 
 def test_each_block_of_cells_generates_its_problem_once(tmp_path,
                                                         monkeypatch):
-    calls = []
-    real = benchcli.quadprob.generate
+    # the methods share each problem and each start: one problem per
+    # (set, n, kappa) and one start per (problem, seed), for all methods
+    # and eps values
+    generated, starts = [], []
+    generate, starting_point = (benchcli.quadprob.generate,
+                                benchcli.quadprob.starting_point)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_generate(*args):
+        generated.append((args, generate(*args)))
+        return generated[-1][1]
 
-    monkeypatch.setattr(benchcli.quadprob, "generate", counting)
-    spec = spec_for(tmp_path, sets=(1, 4), kappas=(100.0, 1e3),
-                    epss=(1e-6, 1e-8), seeds=3)
+    def counting_starting_point(p, seed):
+        starts.append((p, seed))
+        return starting_point(p, seed)
+
+    monkeypatch.setattr(benchcli.quadprob, "generate", counting_generate)
+    monkeypatch.setattr(benchcli.quadprob, "starting_point",
+                        counting_starting_point)
+    spec = spec_for(tmp_path, methods=("bb", "new", "bbq"), sets=(1, 4),
+                    kappas=(100.0, 1e3), epss=(1e-6, 1e-8), seeds=3)
     run_experiment(spec)
-    blocks = [(s, 20, k, benchcli.PROBLEM_SEED)
-              for _ in spec.methods for s in spec.sets for k in spec.kappas]
-    assert calls == blocks
+    assert [args for args, _ in generated] == [
+        (s, 20, k, benchcli.PROBLEM_SEED)
+        for s in spec.sets for k in spec.kappas]
+    # both lists hold their problems, so no id is reused
+    assert [(id(p), seed) for p, seed in starts] == [
+        (id(p), seed) for _, p in generated for seed in range(spec.seeds)]
 
 
 def test_verify3d_rows_use_placeholders(tmp_path):
